@@ -14,6 +14,7 @@ from typing import Optional
 
 from .digraph import (
     SignedDigraph,
+    _is_forest,
     all_cycle_products_negative,
     is_sign_semi_stable,
     matching_number,
@@ -309,22 +310,7 @@ def _is_strong_ditree(P: SignPattern) -> bool:
                 return False  # a single arc breaks double direction
             if a is not Sign.ZERO:
                 edges.append((i, j))
-    if len(edges) != n - 1:
-        return False
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a, b in edges:
-        ra, rb = find(a), find(b)
-        if ra == rb:
-            return False
-        parent[ra] = rb
-    return True
+    return len(edges) == n - 1 and _is_forest(n, tuple(edges))
 
 
 def _fixed_or_raise(P: SignPattern, rule: str) -> SeprSequence:

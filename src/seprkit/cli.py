@@ -256,6 +256,13 @@ def _cmd_check_sequence(args) -> int:
 # ---------------------------------------------------------------------------
 # parser
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_common(p: argparse.ArgumentParser, pattern=False, matrix=False,
                 sweep=False, budget_default=10**6) -> None:
     if pattern:
@@ -264,7 +271,7 @@ def _add_common(p: argparse.ArgumentParser, pattern=False, matrix=False,
         p.add_argument("--matrix", metavar="FILE", help="matrix file, or '-' for stdin")
     if sweep:
         p.add_argument("--grid", metavar="CSV", help="comma-separated positive rationals")
-        p.add_argument("--budget", type=int, default=budget_default, metavar="N")
+        p.add_argument("--budget", type=_positive_int, default=budget_default, metavar="N")
         p.add_argument("--seed", type=int, default=0, metavar="N")
     p.add_argument("--json", action="store_true", help="emit JSON instead of text")
 
@@ -328,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--constraints", default="",
                    help="comma list: symmetric,nonnegative,zero-diagonal,"
                         "full-off-diagonal,semi-stable,irreducible")
-    p.add_argument("--budget", type=int, default=10**6)
+    p.add_argument("--budget", type=_positive_int, default=10**6)
     p.add_argument("--count-only", action="store_true")
     _add_common(p)
     p.set_defaults(fn=_cmd_enumerate)
@@ -343,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="exhaustive order-4 sweep (3^16 patterns; slow)")
     p.add_argument("--threads", type=int, default=1, metavar="N",
                    help="worker processes for the full sweep (0 = auto)")
-    p.add_argument("--budget", type=int, default=10**6)
+    p.add_argument("--budget", type=_positive_int, default=10**6)
     p.add_argument("--seed", type=int, default=0)
     _add_common(p)
     p.set_defaults(fn=_cmd_verify_paper)

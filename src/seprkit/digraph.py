@@ -49,24 +49,11 @@ class SignedDigraph:
             rows[i][j] = s
         return SignPattern(tuple(tuple(r) for r in rows))
 
-    def successors(self) -> tuple[tuple[int, ...], ...]:
-        out: list[list[int]] = [[] for _ in range(self.n)]
-        for i, j, _ in self.arcs:
-            if i != j:
-                out[i].append(j)
-        return tuple(tuple(sorted(v)) for v in out)
-
     def successors_with_loops(self) -> tuple[tuple[int, ...], ...]:
         out: list[list[int]] = [[] for _ in range(self.n)]
         for i, j, _ in self.arcs:
             out[i].append(j)
         return tuple(tuple(sorted(v)) for v in out)
-
-    def loop_sign(self, v: int) -> Sign:
-        for i, j, s in self.arcs:
-            if i == j == v:
-                return s
-        return Sign.ZERO
 
     def underlying_edges(self) -> tuple[tuple[int, int], ...]:
         """Loopless undirected edges {i, j} with at least one arc between i and j."""

@@ -29,6 +29,7 @@ from .analysis import (
 )
 from .digraph import (
     SignedDigraph,
+    _is_forest,
     is_irreducible,
     is_sign_semi_stable,
     is_sign_stable_irreducible,
@@ -41,6 +42,8 @@ from .pattern import SignPattern
 from .realize import (
     MagnitudeGrid,
     RationalMatrix,
+    _SYMBOL_LUT,
+    _sequence_from_code,
     ones_realization,
     sepr_of_matrix,
     sweep_sepr_table,
@@ -125,22 +128,7 @@ def _forest_edge_sets(n: int) -> Iterator[tuple[tuple[int, int], ...]]:
     pairs = list(combinations(range(n), 2))
     for mask in range(1 << len(pairs)):
         edges = tuple(pairs[t] for t in range(len(pairs)) if mask >> t & 1)
-        parent = list(range(n))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        ok = True
-        for a, b in edges:
-            ra, rb = find(a), find(b)
-            if ra == rb:
-                ok = False
-                break
-            parent[ra] = rb
-        if ok:
+        if _is_forest(n, edges):
             yield edges
 
 
@@ -329,11 +317,6 @@ EMBEDDED_ORDER3_WITNESSES: dict[str, tuple[tuple[Fraction, ...], ...]] = {
     }.items()
 }
 
-_SYMBOL_LUT = np.zeros(8, dtype=np.int64)
-for _m in range(1, 8):
-    _SYMBOL_LUT[_m] = int(SeprSymbol.from_sign_mask(_m))
-
-
 def _sym3_sweep(values: list[int], chunk: int = 1 << 17) -> dict[str, RationalMatrix]:
     """Sepr-sequences of all symmetric 3x3 matrices with entries from `values`.
 
@@ -368,11 +351,7 @@ def _sym3_sweep(values: list[int], chunk: int = 1 << 17) -> dict[str, RationalMa
                 found[c] = tuple(int(x) for x in digits[fi])
     out = {}
     for code, dg in found.items():
-        syms = []
-        for _ in range(3):
-            syms.append(SeprSymbol(code % 7))
-            code //= 7
-        seq = SeprSequence(tuple(reversed(syms)))
+        seq = _sequence_from_code(code, 3)
         d1, d2, d3, u12, u13, u23 = (values[t] for t in dg)
         M = RationalMatrix.from_rows(
             [[d1, u12, u13], [u12, d2, u23], [u13, u23, d3]]

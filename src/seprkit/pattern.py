@@ -352,15 +352,3 @@ def max_bipartite_matching(bg: Bigraph) -> int:
 def has_perfect_matching(bg: Bigraph) -> bool:
     """True iff a matching saturates every left vertex (and the sides balance)."""
     return bg.n_left == bg.n_right and max_bipartite_matching(bg) == bg.n_left
-
-
-def hall_condition_holds(bg: Bigraph) -> bool:
-    """Brute-force |S| <= |N(S)| over all S; exponential, for cross-checks only."""
-    for smask in range(1 << bg.n_left):
-        nb = 0
-        for u in mask_indices(smask):
-            for v in bg.adj[u]:
-                nb |= 1 << v
-        if smask.bit_count() > nb.bit_count():
-            return False
-    return True

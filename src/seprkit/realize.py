@@ -6,12 +6,21 @@ sweeps are reproducible from a seed.  Alongside the plain grid sweep the
 module provides targeted constructors (dominate a chosen term, hit an
 exact zero of an ambiguous minor, make all ambiguous minors nonzero) that
 the analysis layer uses to separate sepr-sequences.
+
+The grid sweep evaluates all principal minors of a batch of realizations
+at once, in int64, by one shared Laplace recursion over minors.  It runs
+whenever n! * M**n <= 2**63 - 1, with M the largest grid magnitude scaled
+to an integer; no intermediate value can then overflow (the default grid,
+M = 36, admits n <= 8).  Other grids are swept one exact rational
+realization at a time.  Batches are cut into slices whose live arrays stay
+within _SWEEP_BYTES (1 MiB), unless one realization alone needs more.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, permutations
+from functools import lru_cache
+from itertools import combinations
 from math import factorial, isqrt, lcm
 from typing import Iterator, Optional, Sequence
 
@@ -30,9 +39,9 @@ from .signs import AmbSign, SeprSequence, SeprSymbol, Sign, neg_superscripts
 SEPR_ORDER_GUARD = 14
 ALLNONZERO_ORDER_GUARD = 10
 INVERSE_ORDER_GUARD = 6
-_VEC_MAX_ORDER = 4
-_VEC_MAX_MAGNITUDE = 10_000
 _CHUNK = 1 << 14
+_INT64_MAX = 2**63 - 1
+_SWEEP_BYTES = 1 << 20
 
 
 # ---------------------------------------------------------------------------
@@ -334,9 +343,6 @@ def grid_realizations(P: SignPattern, grid: Optional[MagnitudeGrid] = None,
         raise ValueError("budget must be >= 1")
     grid = grid or MagnitudeGrid.default()
     positions = P.nonzero_positions()
-    if not positions:
-        yield RationalMatrix.from_rows([[0] * P.n for _ in range(P.n)])
-        return
     for batch in _digit_batches(len(grid.values), len(positions), budget, seed,
                                 grid.canonical_digit()):
         for row in batch:
@@ -344,90 +350,130 @@ def grid_realizations(P: SignPattern, grid: Optional[MagnitudeGrid] = None,
 
 
 # ---------------------------------------------------------------------------
-# vectorized sepr sweep (n <= 4)
-
-_PERMS: dict[int, tuple[tuple[tuple[int, ...], int], ...]] = {}
-for _k in range(1, 5):
-    plist = []
-    for p in permutations(range(_k)):
-        inv = sum(1 for a in range(_k) for b in range(a + 1, _k) if p[a] > p[b])
-        plist.append((p, -1 if inv & 1 else 1))
-    _PERMS[_k] = tuple(plist)
+# batched exact sweep
 
 # minor-sign bitmask (1 pos, 2 neg, 4 zero) -> SeprSymbol value
-_SYMBOL_LUT = np.zeros(8, dtype=np.int64)
-for _m in range(1, 8):
-    _SYMBOL_LUT[_m] = int(SeprSymbol.from_sign_mask(_m))
+_SYMBOL_LUT = np.array([0] + [int(SeprSymbol.from_sign_mask(m)) for m in range(1, 8)],
+                       dtype=np.int64)
 
 
-def _batch_minor(E: np.ndarray, idx: Sequence[int]) -> np.ndarray:
-    k = len(idx)
-    if k == 1:
-        return E[:, idx[0], idx[0]]
-    acc = None
-    for p, sgn in _PERMS[k]:
-        term = E[:, idx[0], idx[p[0]]].copy()
-        for r in range(1, k):
-            term *= E[:, idx[r], idx[p[r]]]
-        acc = sgn * term if acc is None else acc + sgn * term
-    return acc
+def _sequence_from_code(code: int, n: int) -> SeprSequence:
+    """Decode n base-7 symbol digits, the first position most significant."""
+    return SeprSequence(tuple(SeprSymbol(code // 7**k % 7) for k in reversed(range(n))))
 
 
-def _sweep_vectorized(P: SignPattern, grid: MagnitudeGrid, budget: int,
-                      seed: int) -> Optional[dict[SeprSequence, RationalMatrix]]:
+@lru_cache(maxsize=None)
+def _minor_levels(n: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+    """Laplace-expansion tables that yield every principal minor of order n.
+
+    Level j holds the minors E[R, C] with |R| = |C| = j and C drawn from R
+    plus the columns below r = min R.  Expanding along row r,
+    E[R, C] = sum over t of (-1)^t E[r, C[t]] E[R - r, C - C[t]], and each
+    sub-minor lies on level j - 1 (level 0 is the empty minor, 1).  Per
+    level: entry[t, m] = r*n + C[t], plus n*n for a negated (odd t) term;
+    sub[t, m], the sub-minor's row; and principal[m], whether R == C.
+    """
+    prev = {(0, 0): 0}
+    levels = []
+    for j in range(1, n + 1):
+        index: dict[tuple[int, int], int] = {}
+        entry, sub = [], []
+        for R in combinations(range(n), j):
+            r, rmask = R[0], sum(1 << i for i in R)
+            for C in combinations(sorted(set(R) | set(range(r))), j):
+                cmask = sum(1 << i for i in C)
+                index[rmask, cmask] = len(index)
+                entry.append([r * n + c + n * n * (t & 1) for t, c in enumerate(C)])
+                sub.append([prev[rmask ^ (1 << r), cmask ^ (1 << c)] for c in C])
+        levels.append((np.array(entry, dtype=np.int32).T, np.array(sub, dtype=np.int32).T,
+                       np.array([rm == cm for rm, cm in index], dtype=bool)))
+        prev = index
+    return tuple(levels)
+
+
+def _sweep_plan(P: SignPattern) -> list[tuple[int, list, np.ndarray]]:
+    """Per level: minor count, per rank t the (minor rows, entry rows,
+    sub-minor rows) of the terms whose entry is nonzero in P, and the
+    principal rows.  Entry rows index the nonzero entries of P, in
+    `nonzero_positions` order, stacked over their negations.
+    """
     n = P.n
-    ints = grid.int_scaled()
-    if n > _VEC_MAX_ORDER or max(ints) > _VEC_MAX_MAGNITUDE:
-        return None
     positions = P.nonzero_positions()
-    if not positions:
-        B = RationalMatrix.from_rows([[0] * n for _ in range(n)])
-        return {sepr_of_matrix(B): B}
+    row = np.full(2 * n * n, -1, dtype=np.int64)
+    for t, (i, j) in enumerate(positions):
+        row[[i * n + j, n * n + i * n + j]] = t, len(positions) + t
+    plan = []
+    for entry, sub, principal in _minor_levels(n):
+        ranks = []
+        for e, s in zip(row[entry], sub):
+            dest = np.flatnonzero(e >= 0)
+            ranks.append((dest if len(dest) < len(e) else slice(None), e[dest], s[dest]))
+        plan.append((len(principal), ranks, np.flatnonzero(principal)))
+    return plan
+
+
+def _slice_codes(plan: list[tuple[int, list, np.ndarray]], entries: np.ndarray) -> np.ndarray:
+    """Base-7 sepr codes of a slice; `entries` is (nonzero entries, realizations)."""
+    stack = np.concatenate([entries, -entries])
+    prev = np.ones((1, entries.shape[1]), dtype=np.int64)
+    code = np.zeros(entries.shape[1], dtype=np.int64)
+    for size, ranks, principal in plan:
+        cur = np.zeros((size, entries.shape[1]), dtype=np.int64)
+        for dest, coef, sub in ranks:
+            term = stack[coef]
+            term *= prev[sub]
+            cur[dest] += term
+        prev = cur
+        d = cur[principal]
+        seen = (d > 0).any(0) + 2 * (d < 0).any(0) + 4 * (d == 0).any(0)
+        code = code * 7 + _SYMBOL_LUT[seen]
+    return code
+
+
+def _sweep_batched(P: SignPattern, grid: MagnitudeGrid, budget: int,
+                   seed: int) -> dict[SeprSequence, RationalMatrix]:
+    positions = P.nonzero_positions()
     signs = np.array([int(P.rows[i][j]) for i, j in positions], dtype=np.int64)
-    vals = np.array(ints, dtype=np.int64)
-    subset_lists = [tuple(combinations(range(n), k)) for k in range(1, n + 1)]
+    vals = np.array(grid.int_scaled(), dtype=np.int64)
+    plan = _sweep_plan(P)
+    # int64 rows live at once: the entry stack, the previous level, and the
+    # current level with one term and its gathered sub-minors
+    sizes = [size for size, _, _ in plan]
+    live = 2 * len(positions) + max(p + 3 * c for p, c in zip([1] + sizes, sizes))
+    width = max(1, _SWEEP_BYTES // (8 * live))
     found: dict[int, np.ndarray] = {}
-    for digits in _digit_batches(len(grid.values), len(positions), budget, seed,
+    for digits in _digit_batches(len(vals), len(positions), budget, seed,
                                  grid.canonical_digit()):
-        bsz = digits.shape[0]
-        E = np.zeros((bsz, n, n), dtype=np.int64)
-        mags = vals[digits]
-        for t, (i, j) in enumerate(positions):
-            E[:, i, j] = signs[t] * mags[:, t]
-        code = np.zeros(bsz, dtype=np.int64)
-        for subsets in subset_lists:
-            seen = np.zeros(bsz, dtype=np.int64)
-            for idx in subsets:
-                d = _batch_minor(E, idx)
-                seen |= np.where(d > 0, 1, np.where(d < 0, 2, 4))
-            code = code * 7 + _SYMBOL_LUT[seen]
-        uniq, first = np.unique(code, return_index=True)
-        for c, fi in zip(uniq.tolist(), first.tolist()):
-            if c not in found:
-                found[c] = digits[fi].copy()
-    out = {}
-    for c, drow in found.items():
-        syms = []
-        for _ in range(n):
-            syms.append(SeprSymbol(c % 7))
-            c //= 7
-        seq = SeprSequence(tuple(reversed(syms)))
-        out[seq] = _matrix_from_digits(P, grid, positions, drow)
-    return out
+        for lo in range(0, len(digits), width):
+            part = digits[lo:lo + width]
+            codes = _slice_codes(plan, signs[:, None] * vals[part.T])
+            for fi in np.sort(np.unique(codes, return_index=True)[1]).tolist():
+                if int(codes[fi]) not in found:
+                    found[int(codes[fi])] = part[fi].copy()
+    return {_sequence_from_code(c, P.n): _matrix_from_digits(P, grid, positions, d)
+            for c, d in found.items()}
 
 
 def sweep_sepr_table(P: SignPattern, grid: Optional[MagnitudeGrid] = None,
                      budget: int = 10**6, seed: int = 0) -> dict[SeprSequence, RationalMatrix]:
-    """Distinct sepr-sequences over the grid realization stream, one witness each."""
+    """Distinct sepr-sequences over the grid realization stream, one witness each.
+
+    Each sequence keeps its first realization in stream order.  The batched
+    int64 sweep runs whenever it is exact; other grids fall back to exact
+    rational sepr_of_matrix per realization.
+    """
+    if budget < 1:
+        raise ValueError("budget must be >= 1")
+    if P.n > SEPR_ORDER_GUARD:
+        raise OrderGuardError(f"sepr computation limited to order {SEPR_ORDER_GUARD}")
     grid = grid or MagnitudeGrid.default()
-    fast = _sweep_vectorized(P, grid, budget, seed)
-    if fast is not None:
-        return fast
+    # a j x j minor, and each partial sum or product E * M of its expansion,
+    # is a sum of at most j! permutation terms of size at most M**j
+    if factorial(P.n) * max(grid.int_scaled()) ** P.n <= _INT64_MAX:
+        return _sweep_batched(P, grid, budget, seed)
     out: dict[SeprSequence, RationalMatrix] = {}
     for B in grid_realizations(P, grid, budget, seed):
-        s = sepr_of_matrix(B)
-        if s not in out:
-            out[s] = B
+        out.setdefault(sepr_of_matrix(B), B)
     return out
 
 

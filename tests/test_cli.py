@@ -111,6 +111,23 @@ def test_seprset_json_deterministic(capsys, tmp_path):
     assert payload["tight"] is True
 
 
+def test_budget_must_be_positive(capsys, tmp_path):
+    small = tmp_path / "p2.txt"
+    small.write_text("+-\n-+\n")
+    large = tmp_path / "p5.txt"
+    large.write_text("\n".join("0" * i + "+" + "0" * (4 - i) for i in range(5)) + "\n")
+    for p in (small, large):
+        for budget in ("0", "-5", "many"):
+            code, out, err = run(capsys, "seprset", "--pattern", str(p), "--budget", budget)
+            assert code == 2 and out == "" and "--budget" in err
+    code, _, err = run(capsys, "check-unique", "--pattern", str(small), "--budget", "0")
+    assert code == 2 and "--budget" in err
+    code, _, err = run(capsys, "enumerate", "--order", "2", "--budget", "0")
+    assert code == 2 and "--budget" in err
+    code, _, err = run(capsys, "verify-paper", "--budget", "-1")
+    assert code == 2 and "--budget" in err
+
+
 def test_text_and_json_verdicts_agree(capsys, pattern_file):
     _, text_out, _ = run(capsys, "check-unique", "--pattern", pattern_file)
     _, json_out, _ = run(capsys, "check-unique", "--pattern", pattern_file, "--json")

@@ -10,7 +10,6 @@ from seprkit.pattern import (
     bigraph,
     full_mask,
     has_perfect_matching,
-    hall_condition_holds,
     is_ambiguous,
     mask_from,
     mask_indices,
@@ -150,6 +149,18 @@ def test_matching_iff_nonzero_term():
     for _ in range(400):
         P = rand_pattern(rng, rng.randint(1, 5), zero_weight=2)
         assert has_perfect_matching(bigraph(P)) == signed_det(P).has_term
+
+
+def hall_condition_holds(bg):
+    """Brute-force |S| <= |N(S)| over all left-vertex sets S."""
+    for smask in range(1 << bg.n_left):
+        nb = 0
+        for u in mask_indices(smask):
+            for v in bg.adj[u]:
+                nb |= 1 << v
+        if smask.bit_count() > nb.bit_count():
+            return False
+    return True
 
 
 def test_matching_iff_hall():

@@ -2,6 +2,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import factorial
 
 import pytest
 
@@ -29,6 +30,8 @@ from seprkit.realize import (
     zero_minor_realization,
 )
 from seprkit.signs import AmbSign, Sign
+
+INT64_MAX = 2**63 - 1
 
 
 def test_sepr_reference_matrices():
@@ -288,3 +291,58 @@ def test_sweep_matches_stream_when_subsampled():
     table = {str(s) for s in sweep_sepr_table(P, g, budget=budget, seed=4)}
     stream = {str(sepr_of_matrix(B)) for B in grid_realizations(P, g, budget=budget, seed=4)}
     assert table == stream
+
+
+def test_sweep_budget_must_be_positive():
+    for text in ("+-\n-+", "+0000\n0+000\n00+00\n000+0\n0000+"):
+        P = parse_pattern(text)
+        for budget in (0, -5):
+            with pytest.raises(ValueError, match="budget"):
+                sweep_sepr_table(P, budget=budget)
+
+
+def _stream_table(P, grid, budget, seed):
+    out = {}
+    for B in grid_realizations(P, grid, budget, seed):
+        out.setdefault(sepr_of_matrix(B), B)
+    return out
+
+
+def _largest_exact_magnitude(n):
+    m = int((INT64_MAX // factorial(n)) ** (1 / n))
+    while factorial(n) * (m + 1) ** n <= INT64_MAX:
+        m += 1
+    while factorial(n) * m**n > INT64_MAX:
+        m -= 1
+    return m
+
+
+def _random_pattern(rng, n, nonzeros):
+    cells = rng.sample([(i, j) for i in range(n) for j in range(n)], nonzeros)
+    rows = [[Sign.ZERO] * n for _ in range(n)]
+    for i, j in cells:
+        rows[i][j] = rng.choice([Sign.PLUS, Sign.MINUS])
+    return SignPattern(tuple(tuple(r) for r in rows))
+
+
+def test_sweep_equals_first_witness_stream():
+    # the batched int64 sweep, and the per-realization path past its bound,
+    # both return exactly the stream's first witness per sequence
+    rng = random.Random(71)
+    for n in range(1, 8):
+        m = _largest_exact_magnitude(n)
+        grids = [(MagnitudeGrid.default(), True), (MagnitudeGrid.of(1, m), True),
+                 (MagnitudeGrid.of(1, m + 1), False)]
+        for grid, exact in grids:
+            assert (factorial(n) * max(grid.int_scaled()) ** n <= INT64_MAX) is exact
+            g = len(grid.values)
+            exhaustive = min(n * n, 3 if g > 2 else 6)
+            cases = [(exhaustive, g**exhaustive)] * 2 + [(rng.randint(n, n * n), 60) for _ in range(2)]
+            for nonzeros, budget in cases:
+                P = _random_pattern(rng, n, nonzeros)
+                seed = rng.randrange(100)
+                got = sweep_sepr_table(P, grid, budget, seed)
+                want = _stream_table(P, grid, budget, seed)
+                assert got == want, (n, grid, P.to_text())
+                assert {str(s): B.to_text() for s, B in got.items()} == \
+                    {str(s): B.to_text() for s, B in want.items()}
