@@ -4,7 +4,8 @@ Every library operation is reachable as a subcommand for scripted batch
 use.  Patterns and matrices are read from files or stdin ('-'); --json
 switches any subcommand to a stable JSON rendering.  Exit codes: 0 for
 success (or a passing check), 1 for a failed check or a "no" answer from
-a yes/no test, 2 for usage and parse errors.
+a yes/no test, 2 for usage and parse errors, an input past an order guard,
+or a failed realization.
 """
 from __future__ import annotations
 
@@ -28,8 +29,8 @@ from .digraph import (
     simplify,
 )
 from .enumeration import PatternFamily, enumerate_patterns, run_all_verifications
-from .pattern import SignPattern, signed_det
-from .realize import MagnitudeGrid, RationalMatrix, sepr_of_matrix
+from .pattern import OrderGuardError, SignPattern, signed_det
+from .realize import MagnitudeGrid, RationalMatrix, RealizationError, sepr_of_matrix
 from .signs import SeprSequence, combine
 
 
@@ -366,7 +367,7 @@ def main(argv=None) -> int:
         return 2 if e.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except CliError as e:
+    except (CliError, OrderGuardError, RealizationError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except BrokenPipeError:

@@ -22,6 +22,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import factorial, isqrt, lcm
+from operator import add, mul, or_
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -29,7 +30,6 @@ import numpy as np
 from .pattern import (
     OrderGuardError,
     SignPattern,
-    full_mask,
     mask_indices,
     signed_det_masked,
     subsets_of_size,
@@ -42,6 +42,10 @@ INVERSE_ORDER_GUARD = 6
 _CHUNK = 1 << 14
 _INT64_MAX = 2**63 - 1
 _SWEEP_BYTES = 1 << 20
+
+
+class RealizationError(RuntimeError):
+    """A targeted construction failed where its proof says it cannot."""
 
 
 # ---------------------------------------------------------------------------
@@ -554,7 +558,8 @@ def zero_minor_realization(P: SignPattern, mask: int) -> Optional[RationalMatrix
         return None
     Bm = dominated_realization(P, mask, Sign.MINUS)
     Bp = dominated_realization(P, mask, Sign.PLUS)
-    assert Bm is not None and Bp is not None
+    if Bm is None or Bp is None:
+        raise RealizationError("no dominated realization of an ambiguous minor")
     idx = mask_indices(mask)
     cur = [list(r) for r in Bm.rows]
     d_cur = _det_fraction(cur, idx, idx)
@@ -576,7 +581,7 @@ def zero_minor_realization(P: SignPattern, mask: int) -> Optional[RationalMatrix
                 cur[i][j] = root  # strictly between old and new: sign is valid
                 return RationalMatrix(tuple(tuple(r) for r in cur))
             d_cur = d_new
-    raise AssertionError("sign never flipped walking between dominated realizations")
+    raise RealizationError("sign never flipped walking between dominated realizations")
 
 
 def distinct_sepr_search(P: SignPattern, budget: int = 4000, seed: int = 0,
@@ -628,73 +633,88 @@ def distinct_sepr_search(P: SignPattern, budget: int = 4000, seed: int = 0,
 # ---------------------------------------------------------------------------
 # all ambiguous minors nonzero
 
+def _minor_table(rows: Sequence[Sequence], mul, add) -> dict[tuple[int, int], object]:
+    """Every equal-size minor E[rm, cm] of `rows`, keyed by (row mask, col mask).
+
+    One Laplace recursion along row r = min(rm): E[rm, cm] is the `add`-sum
+    over the columns c_0 < c_1 < ... of cm of
+    mul((-1)**t * rows[r][c_t], E[rm - r, cm - c_t]), zero entries skipped;
+    E[0, 0] = 1 and an empty sum is 0.  Keys run in k, rm, cm order.
+    """
+    n = len(rows)
+    by_size = [[(m, mask_indices(m)) for m in subsets_of_size(n, k)] for k in range(n + 1)]
+    table: dict[tuple[int, int], object] = {(0, 0): 1}
+    for k in range(1, n + 1):
+        for rm, ridx in by_size[k]:
+            row, rest = rows[ridx[0]], rm ^ (1 << ridx[0])
+            for cm, cidx in by_size[k]:
+                acc = 0
+                for t, c in enumerate(cidx):
+                    if e := row[c]:
+                        acc = add(acc, mul(-e if t & 1 else e, table[rest, cm ^ (1 << c)]))
+                table[rm, cm] = acc
+    return table
+
+
+def _term_sign_table(P: SignPattern) -> dict[tuple[int, int], int]:
+    """Term signs of every equal-size minor of P: bit 1 a positive term, bit 2 a negative.
+
+    A negative entry swaps the two bits of the cofactor's signs.
+    """
+    return _minor_table([[int(s) for s in row] for row in P.rows],
+                        lambda e, x: x if e > 0 else (x & 1) << 1 | x >> 1, or_)
+
+
 def allnonzero_realization(P: SignPattern) -> RationalMatrix:
     """Realization in which every ambiguous equal-size minor is nonzero.
 
     Inductively over minor order: when an ambiguous minor vanishes, nudge
-    one of its entries that sits on a nonzero term and whose complementary
-    minor is nonzero.  The step size is chosen small enough, via an
-    explicit bound over all minors through that entry, to keep every
-    currently-nonzero minor's sign intact.
+    one of its entries whose complementary minor is nonzero (so the entry
+    sits on a nonzero term).  The step is half the exact bound
+    min |d| / |cofactor| over all minors through that entry, which keeps
+    every currently-nonzero minor's sign intact.  Every determinant is read
+    from two tables over all equal-size (row mask, col mask) pairs: S, the
+    term signs of P (S == 3 is ambiguous), and D, the exact minors of the
+    current matrix.  A nudge B[u][v] += step is a rank-one update of D: a
+    minor through (u, v) moves by step times its signed cofactor, which does
+    not contain row u and so stays put; no other minor moves.
     """
     n = P.n
     if n > ALLNONZERO_ORDER_GUARD:
         raise OrderGuardError(f"limited to order {ALLNONZERO_ORDER_GUARD}")
-    B = [[Fraction(int(s)) for s in row] for row in P.rows]
-    fm = full_mask(n)
-    pair_cache: dict[int, list[tuple[int, int]]] = {}
-
-    def ambiguous_pairs(k: int) -> list[tuple[int, int]]:
-        if k not in pair_cache:
-            pair_cache[k] = [
-                (rm, cm)
-                for rm in subsets_of_size(n, k)
-                for cm in subsets_of_size(n, k)
-                if signed_det_masked(P, rm, cm).value is AmbSign.AMBIGUOUS
-            ]
-        return pair_cache[k]
-
-    def det_of(rm: int, cm: int) -> Fraction:
-        return _det_fraction(B, mask_indices(rm), mask_indices(cm))
-
-    for k in range(2, n + 1):
-        for rm, cm in ambiguous_pairs(k):
-            if det_of(rm, cm) != 0:
-                continue
-            ridx, cidx = mask_indices(rm), mask_indices(cm)
-            chosen = None
-            for u in ridx:
-                for v in cidx:
-                    if P.rows[u][v] is Sign.ZERO:
-                        continue
-                    sub = signed_det_masked(P, rm ^ (1 << u), cm ^ (1 << v))
-                    if not (sub.has_term or k == 1):
-                        continue  # entry not on any nonzero term
-                    if det_of(rm ^ (1 << u), cm ^ (1 << v)) == 0:
-                        continue
-                    chosen = (u, v)
-                    break
-                if chosen:
-                    break
-            assert chosen is not None, "no perturbable entry; contradicts construction"
-            u, v = chosen
-            # bound the step over every minor through (u, v)
-            bound = abs(B[u][v])
-            for kk in range(1, n + 1):
-                for rm2 in subsets_of_size(n, kk):
-                    if not rm2 & (1 << u):
-                        continue
-                    for cm2 in subsets_of_size(n, kk):
-                        if not cm2 & (1 << v):
-                            continue
-                        d2 = det_of(rm2, cm2)
-                        if d2 == 0:
-                            continue
-                        cof = det_of(rm2 ^ (1 << u), cm2 ^ (1 << v))
-                        if cof != 0:
-                            bound = min(bound, abs(d2) / abs(cof))
-            B[u][v] += bound / 2
-    return RationalMatrix(tuple(tuple(r) for r in B))
+    B = [[int(s) for s in row] for row in P.rows]
+    D = _minor_table(B, mul, add)
+    # masks through index i, by size, each with the parity of i's position
+    through = [[[(m, (m & ((1 << i) - 1)).bit_count() & 1)
+                 for m in subsets_of_size(n, k) if m >> i & 1] for k in range(n + 1)]
+               for i in range(n)]
+    for (rm, cm), signs in _term_sign_table(P).items():
+        if signs != 3 or D[rm, cm] != 0:
+            continue
+        chosen = next(((u, v) for u in mask_indices(rm) for v in mask_indices(cm)
+                       if B[u][v] and D[rm ^ (1 << u), cm ^ (1 << v)] != 0), None)
+        if chosen is None:
+            raise RealizationError("no perturbable entry; contradicts construction")
+        u, v = chosen
+        hits = []  # (minor through (u, v), its signed cofactor) where that is nonzero
+        for rows_u, cols_v in zip(through[u], through[v]):
+            for rm2, pu in rows_u:
+                for cm2, pv in cols_v:
+                    cof = D[rm2 ^ (1 << u), cm2 ^ (1 << v)]
+                    if cof:
+                        hits.append(((rm2, cm2), -cof if pu ^ pv else cof))
+        # the bound min |d| / |cof| as p / q, found by cross-multiplying
+        p, q = 0, 0
+        for key, cof in hits:
+            if d := D[key]:
+                a, b = abs(d.numerator * cof.denominator), abs(d.denominator * cof.numerator)
+                if not q or a * q < p * b:
+                    p, q = a, b
+        step = Fraction(p, 2 * q)
+        B[u][v] += step
+        for key, cof in hits:
+            D[key] += step * cof
+    return RationalMatrix.from_rows(B)
 
 
 # ---------------------------------------------------------------------------

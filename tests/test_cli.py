@@ -3,7 +3,9 @@ import json
 
 import pytest
 
+from seprkit import cli
 from seprkit.cli import main
+from seprkit.realize import RealizationError
 
 
 def run(capsys, *argv):
@@ -126,6 +128,24 @@ def test_budget_must_be_positive(capsys, tmp_path):
     assert code == 2 and "--budget" in err
     code, _, err = run(capsys, "verify-paper", "--budget", "-1")
     assert code == 2 and "--budget" in err
+
+
+def test_guard_and_realization_errors_exit_2(capsys, tmp_path, monkeypatch):
+    p = tmp_path / "p.txt"
+    p.write_text("\n".join(["+" * 15] * 15) + "\n")
+    code, out, err = run(capsys, "seprset", "--pattern", str(p))
+    assert code == 2 and out == "" and err.startswith("error: ") and "order 14" in err
+    p.write_text("\n".join(["+" * 17] * 17) + "\n")
+    code, out, err = run(capsys, "det", "--pattern", str(p))
+    assert code == 2 and out == "" and err.startswith("error: ") and "order 16" in err
+
+    def fail(*args, **kwargs):
+        raise RealizationError("sign never flipped")
+
+    monkeypatch.setattr(cli, "sepr_set_estimate", fail)
+    p.write_text("+-\n-+\n")
+    code, out, err = run(capsys, "seprset", "--pattern", str(p))
+    assert code == 2 and out == "" and err == "error: sign never flipped\n"
 
 
 def test_text_and_json_verdicts_agree(capsys, pattern_file):

@@ -1,8 +1,10 @@
 """Exact realizations: sepr of matrices, grids, targeted constructions."""
+import ast
 import random
 from fractions import Fraction
 from itertools import combinations
 from math import factorial
+from pathlib import Path
 
 import pytest
 
@@ -11,13 +13,17 @@ from seprkit.pattern import (
     SignPattern,
     full_mask,
     mask_from,
+    mask_indices,
     parse_pattern,
     signed_det_masked,
+    subsets_of_size,
 )
+from seprkit import realize
 from seprkit.realize import (
     MagnitudeGrid,
     RationalMatrix,
     _det_fraction,
+    _term_sign_table,
     allnonzero_realization,
     distinct_sepr_search,
     dominated_realization,
@@ -178,6 +184,70 @@ def test_allnonzero_reference_pattern():
                 d = signed_det_masked(P, mask_from(r), mask_from(c))
                 if d.value is AmbSign.AMBIGUOUS:
                     assert _det_fraction(B.rows, r, c) != 0
+
+
+def _bound_walk_allnonzero(P):
+    """Reference: the allnonzero walk with every determinant recomputed.
+
+    Same walk as the library (k, rm, cm order, first (u, v) on a nonzero
+    term with a nonzero cofactor, step half the bound over all minors
+    through (u, v)), but each minor is a fresh Fraction elimination and
+    each sign question a fresh signed-determinant scan.
+    """
+    n = P.n
+    B = [[Fraction(int(s)) for s in row] for row in P.rows]
+
+    def det_of(rm, cm):
+        return _det_fraction(B, mask_indices(rm), mask_indices(cm))
+
+    for k in range(2, n + 1):
+        ambiguous = [(rm, cm) for rm in subsets_of_size(n, k) for cm in subsets_of_size(n, k)
+                     if signed_det_masked(P, rm, cm).value is AmbSign.AMBIGUOUS]
+        for rm, cm in ambiguous:
+            if det_of(rm, cm) != 0:
+                continue
+            chosen = next((u, v) for u in mask_indices(rm) for v in mask_indices(cm)
+                          if P.rows[u][v] is not Sign.ZERO
+                          and signed_det_masked(P, rm ^ (1 << u), cm ^ (1 << v)).has_term
+                          and det_of(rm ^ (1 << u), cm ^ (1 << v)) != 0)
+            u, v = chosen
+            bound = abs(B[u][v])
+            for kk in range(1, n + 1):
+                for rm2 in subsets_of_size(n, kk):
+                    for cm2 in subsets_of_size(n, kk):
+                        if not (rm2 >> u & 1 and cm2 >> v & 1):
+                            continue
+                        d2 = det_of(rm2, cm2)
+                        cof = det_of(rm2 ^ (1 << u), cm2 ^ (1 << v))
+                        if d2 != 0 and cof != 0:
+                            bound = min(bound, abs(d2) / abs(cof))
+            B[u][v] += bound / 2
+    return RationalMatrix(tuple(tuple(r) for r in B))
+
+
+def test_allnonzero_equals_bound_walk():
+    # the table walk returns the reference's matrix, and its term-sign table
+    # matches the signed-determinant scan on every equal-size pair
+    rng = random.Random(83)
+    cases = [(n, density) for n in range(2, 6) for density in (0.3, 0.6, 1.0) for _ in range(17)]
+    cases += [(6, 0.4), (6, 0.7), (6, 1.0)]
+    for n, density in cases:
+        P = _random_pattern(rng, n, max(1, round(density * n * n)))
+        B, want = allnonzero_realization(P), _bound_walk_allnonzero(P)
+        assert B == want and B.to_text() == want.to_text(), P.to_text()
+        for (rm, cm), signs in _term_sign_table(P).items():
+            d = signed_det_masked(P, rm, cm)
+            assert signs == d.has_positive_term | d.has_negative_term << 1, (P.to_text(), rm, cm)
+
+
+def test_realize_has_no_assert_control_flow():
+    # python -O strips assert; failures in realize raise RealizationError
+    tree = ast.parse(Path(realize.__file__).read_text())
+    for node in ast.walk(tree):
+        assert not isinstance(node, ast.Assert), node.lineno
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            assert not (isinstance(exc, ast.Name) and exc.id == "AssertionError"), node.lineno
 
 
 def test_scale_diagonal_to_one():
