@@ -316,7 +316,7 @@ def _is_strong_ditree(P: SignPattern) -> bool:
 def _fixed_or_raise(P: SignPattern, rule: str) -> SeprSequence:
     seq = fixed_sequence(P)
     if seq is None:  # pragma: no cover - the rules guarantee fixedness
-        raise AssertionError(f"rule {rule} fired but a position is not fixed")
+        raise TheoremContradiction(f"rule {rule} fired but a position is not fixed")
     return seq
 
 
@@ -458,8 +458,15 @@ def semistability_recognizable(P: SignPattern) -> bool:
     if P.n <= 2:
         return True
     seq = fixed_sequence(P)
-    assert seq is not None  # semi-stable patterns have every term fixed
+    if seq is None:
+        raise TheoremContradiction("a sign semi-stable pattern has an unfixed term")
     return all(sym is SeprSymbol.N for sym in seq.terms[2:])
+
+
+def _not_semi_stable(Q: SignPattern) -> SignPattern:
+    if is_sign_semi_stable(Q):
+        raise TheoremContradiction("closing the cycle left the pattern sign semi-stable")
+    return Q
 
 
 def add_cycle_witness(P: SignPattern) -> SignPattern:
@@ -486,18 +493,14 @@ def add_cycle_witness(P: SignPattern) -> SignPattern:
                     if y in (u, v):
                         continue
                     sign = -(P.rows[u][v] * P.rows[v][x] * P.rows[x][y])
-                    Q = P.with_entry(y, u, sign)
-                    assert not is_sign_semi_stable(Q)
-                    return Q
+                    return _not_semi_stable(P.with_entry(y, u, sign))
     for u in range(n):
         for v in adj[u]:
             for x in adj[v]:
                 if x == u or P.rows[x][x] is Sign.ZERO:
                     continue
                 sign = -(P.rows[u][v] * P.rows[v][x])
-                Q = P.with_entry(x, u, sign)
-                assert not is_sign_semi_stable(Q)
-                return Q
+                return _not_semi_stable(P.with_entry(x, u, sign))
     raise ValueError("digraph contains no 4-path and no loop-ended 3-path")
 
 
@@ -665,4 +668,4 @@ def classify_symmetric_nonneg_unique(P: SignPattern, search_budget: int = 4000,
         expect(not edges and 2 <= k <= n - 1, "7", "digraph is not k isolated loops")
         expect(seq.terms == (SP,) * k + (N,) * (n - k), "7", f"sequence {seq} unexpected")
         return SymNonnegClass(pair, "7", seq)
-    raise AssertionError("unreachable")
+    raise TheoremContradiction(f"initial pair {seq} has no case")

@@ -1,11 +1,15 @@
 """Exact rational realizations of sign patterns and their sepr-sequences.
 
-Everything here is exact: matrices carry Fraction entries, minors are
-computed over the integers after positive row scaling, and realization
-sweeps are reproducible from a seed.  Alongside the plain grid sweep the
-module provides targeted constructors (dominate a chosen term, hit an
-exact zero of an ambiguous minor, make all ambiguous minors nonzero) that
-the analysis layer uses to separate sepr-sequences.
+Everything here is exact: matrices carry Fraction entries, and realization
+sweeps are reproducible from a seed.  Each exact minor, determinant or
+inverse comes from one kernel, _det: integer rows (positive row scaling
+clears the denominators), closed forms to order 3 and fraction-free
+Bareiss elimination above.  Only whole tables of minors (the batched
+sweep, the all-nonzero walk) are built by Laplace recursion instead.
+Alongside the plain grid sweep the module provides targeted constructors
+(dominate a chosen term, hit an exact zero of an ambiguous minor, make
+all ambiguous minors nonzero) that the analysis layer uses to separate
+sepr-sequences.
 
 The grid sweep evaluates all principal minors of a batch of realizations
 at once, in int64, by one shared Laplace recursion over minors.  It runs
@@ -18,6 +22,7 @@ within _SWEEP_BYTES (1 MiB), unless one realization alone needs more.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -55,6 +60,12 @@ def _to_fraction(x) -> Fraction:
     if isinstance(x, float):
         raise TypeError("floats are not exact; pass Fraction, int, or 'p/q' text")
     return Fraction(x)
+
+
+def _fraction_text(x: Fraction) -> str:
+    """str(x) at any size: Decimal prints ints past the int-to-str digit limit."""
+    num = str(Decimal(x.numerator))
+    return num if x.denominator == 1 else f"{num}/{Decimal(x.denominator)}"
 
 
 @dataclass(frozen=True)
@@ -100,10 +111,10 @@ class RationalMatrix:
         return RationalMatrix(tuple(tuple(r) for r in rows))
 
     def to_text(self) -> str:
-        return "\n".join(" ".join(str(x) for x in row) for row in self.rows)
+        return "\n".join(" ".join(_fraction_text(x) for x in row) for row in self.rows)
 
     def to_json(self) -> dict:
-        return {"n": self.n, "rows": [[str(x) for x in row] for row in self.rows]}
+        return {"n": self.n, "rows": [[_fraction_text(x) for x in row] for row in self.rows]}
 
     def __str__(self) -> str:
         return self.to_text()
@@ -121,113 +132,99 @@ class RationalMatrix:
         rows += [(z,) * n + tuple(other.rows[i]) for i in range(m)]
         return RationalMatrix(tuple(rows))
 
+    def minor(self, ridx: Sequence[int], cidx: Sequence[int]) -> Fraction:
+        """Exact minor on rows `ridx` and columns `cidx`.
+
+        Each chosen row, cut to the chosen columns, is scaled by the lcm of
+        its denominators; the integer minor over the product of the
+        multipliers is the rational one.
+        """
+        if len(ridx) != len(cidx):
+            raise ValueError("a minor needs as many rows as columns")
+        scale, rows = 1, []
+        for i in ridx:
+            mult, row = _int_row([self.rows[i][j] for j in cidx])
+            scale *= mult
+            rows.append(row)
+        idx = range(len(rows))
+        return Fraction(_det(rows, idx, idx), scale)
+
     def det(self) -> Fraction:
-        return _det_fraction(self.rows, range(self.n), range(self.n))
+        return self.minor(range(self.n), range(self.n))
 
     def inverse(self) -> "RationalMatrix":
-        """Exact inverse by Gauss-Jordan elimination; raises on singular input."""
+        """Exact inverse as the adjugate over the determinant; raises on singular input."""
         n = self.n
-        a = [list(r) for r in self.rows]
-        inv = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-        for c in range(n):
-            piv = next((r for r in range(c, n) if a[r][c] != 0), None)
-            if piv is None:
-                raise ValueError("matrix is singular")
-            a[c], a[piv] = a[piv], a[c]
-            inv[c], inv[piv] = inv[piv], inv[c]
-            f = a[c][c]
-            a[c] = [x / f for x in a[c]]
-            inv[c] = [x / f for x in inv[c]]
-            for r in range(n):
-                if r != c and a[r][c] != 0:
-                    g = a[r][c]
-                    a[r] = [x - g * y for x, y in zip(a[r], a[c])]
-                    inv[r] = [x - g * y for x, y in zip(inv[r], inv[c])]
-        return RationalMatrix(tuple(tuple(row) for row in inv))
+        if n > INVERSE_ORDER_GUARD:
+            raise OrderGuardError(f"inverse limited to order {INVERSE_ORDER_GUARD}")
+        d = self.det()
+        if d == 0:
+            raise ValueError("matrix is singular")
+        rest = [[k for k in range(n) if k != i] for i in range(n)]
+        return RationalMatrix(tuple(
+            tuple((-1) ** (i + j) * self.minor(rest[j], rest[i]) / d for j in range(n))
+            for i in range(n)))
 
 
 # ---------------------------------------------------------------------------
 # exact determinants
 
-def _det_fraction(rows, ridx, cidx) -> Fraction:
-    idx_r = list(ridx)
-    idx_c = list(cidx)
-    k = len(idx_r)
-    if k == 0:
-        return Fraction(1)
-    m = [[Fraction(rows[i][j]) for j in idx_c] for i in idx_r]
-    det = Fraction(1)
-    for c in range(k):
-        piv = next((r for r in range(c, k) if m[r][c] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != c:
-            m[c], m[piv] = m[piv], m[c]
-            det = -det
-        det *= m[c][c]
-        invp = Fraction(1) / m[c][c]
-        for r in range(c + 1, k):
-            if m[r][c] != 0:
-                f = m[r][c] * invp
-                m[r] = [a - f * b for a, b in zip(m[r], m[c])]
-    return det
+def _int_row(row: Sequence[Fraction]) -> tuple[int, list[int]]:
+    """A row scaled by the lcm of its denominators: (multiplier, integer entries).
+
+    Positive per-row scaling multiplies every minor by a positive factor, so
+    all minor signs are preserved.
+    """
+    mult = lcm(*(x.denominator for x in row))
+    return mult, [x.numerator * (mult // x.denominator) for x in row]
 
 
 def _int_rows(B: RationalMatrix) -> list[list[int]]:
-    """Rescale each row by a positive integer so entries become integers.
+    return [_int_row(row)[1] for row in B.rows]
 
-    Positive per-row scaling multiplies every principal minor by a positive
-    factor, so all minor signs are preserved.
+
+def _det(rows: Sequence[Sequence[int]], ridx: Sequence[int], cidx: Sequence[int]) -> int:
+    """Exact determinant of the integer rows `ridx` cut to the columns `cidx`.
+
+    Closed forms to order 3; above that, fraction-free Bareiss elimination
+    (every division is exact), swapping in a lower row on a zero pivot.
     """
-    out = []
-    for row in B.rows:
-        mult = lcm(*(x.denominator for x in row)) if row else 1
-        out.append([int(x * mult) for x in row])
-    return out
-
-
-def _int_det(rows: Sequence[Sequence[int]], idx: Sequence[int]) -> int:
-    k = len(idx)
+    k = len(ridx)
     if k == 0:
         return 1
     if k == 1:
-        return rows[idx[0]][idx[0]]
+        return rows[ridx[0]][cidx[0]]
     if k == 2:
-        a, b = idx
-        return rows[a][a] * rows[b][b] - rows[a][b] * rows[b][a]
+        r0, r1 = rows[ridx[0]], rows[ridx[1]]
+        a, b = cidx
+        return r0[a] * r1[b] - r0[b] * r1[a]
     if k == 3:
-        a, b, c = idx
-        r0, r1, r2 = rows[a], rows[b], rows[c]
+        r0, r1, r2 = rows[ridx[0]], rows[ridx[1]], rows[ridx[2]]
+        a, b, c = cidx
         return (
             r0[a] * (r1[b] * r2[c] - r1[c] * r2[b])
             - r0[b] * (r1[a] * r2[c] - r1[c] * r2[a])
             + r0[c] * (r1[a] * r2[b] - r1[b] * r2[a])
         )
-    return _bareiss_det([[rows[i][j] for j in idx] for i in idx])
-
-
-def _bareiss_det(m: list[list[int]]) -> int:
-    """Fraction-free integer determinant with row pivoting."""
-    n = len(m)
+    m = [[rows[i][j] for j in cidx] for i in ridx]
     sign = 1
     prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            piv = next((r for r in range(k + 1, n) if m[r][k] != 0), None)
+    for p in range(k - 1):
+        if m[p][p] == 0:
+            piv = next((r for r in range(p + 1, k) if m[r][p] != 0), None)
             if piv is None:
                 return 0
-            m[k], m[piv] = m[piv], m[k]
+            m[p], m[piv] = m[piv], m[p]
             sign = -sign
-        pivot = m[k][k]
-        for i in range(k + 1, n):
+        row_p = m[p]
+        pivot = row_p[p]
+        for i in range(p + 1, k):
             row_i = m[i]
-            row_k = m[k]
-            lik = row_i[k]
-            for j in range(k + 1, n):
-                row_i[j] = (row_i[j] * pivot - lik * row_k[j]) // prev
-            row_i[k] = 0
+            lip = row_i[p]
+            for j in range(p + 1, k):
+                row_i[j] = (row_i[j] * pivot - lip * row_p[j]) // prev
         prev = pivot
-    return sign * m[n - 1][n - 1]
+    return sign * m[k - 1][k - 1]
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +248,7 @@ def sepr_of_matrix(B: RationalMatrix) -> SeprSequence:
     for k in range(1, n + 1):
         seen = 0
         for idx in combinations(range(n), k):
-            d = _int_det(rows, idx)
+            d = _det(rows, idx, idx)
             seen |= 1 if d > 0 else (2 if d < 0 else 4)
             if seen == 7:
                 break
@@ -533,14 +530,12 @@ def dominated_realization(P: SignPattern, mask: int, target: Sign) -> Optional[R
     if term is None:
         return None
     idx = mask_indices(mask)
-    base = [[Fraction(int(s)) for s in row] for row in P.rows]
     for w in (4, 16, 64, 256, 1024, 4096):
-        rows = [row[:] for row in base]
+        rows = [[int(s) for s in row] for row in P.rows]
         for i, j in term:
-            rows[i][j] = rows[i][j] * w
-        d = _det_fraction(rows, idx, idx)
-        if Sign.of(d) is target:
-            return RationalMatrix(tuple(tuple(r) for r in rows))
+            rows[i][j] *= w
+        if Sign.of(_det(rows, idx, idx)) is target:
+            return RationalMatrix.from_rows(rows)
     return None
 
 
@@ -548,8 +543,9 @@ def zero_minor_realization(P: SignPattern, mask: int) -> Optional[RationalMatrix
     """Exact rational realization with det B[mask] = 0.
 
     For an ambiguous minor, walks one entry at a time from a negative
-    witness to a positive one; the determinant is linear in each entry, so
-    the crossing yields an exact rational zero with a valid entry sign.
+    witness to a positive one, both integral; the determinant is linear in
+    each entry, so the crossing yields an exact rational zero with a valid
+    entry sign.
     """
     d = signed_det_masked(P, mask)
     if d.value is AmbSign.ZERO:
@@ -560,26 +556,22 @@ def zero_minor_realization(P: SignPattern, mask: int) -> Optional[RationalMatrix
     Bp = dominated_realization(P, mask, Sign.PLUS)
     if Bm is None or Bp is None:
         raise RealizationError("no dominated realization of an ambiguous minor")
+    cur, new_rows = ([[int(x) for x in row] for row in B.rows] for B in (Bm, Bp))
     idx = mask_indices(mask)
-    cur = [list(r) for r in Bm.rows]
-    d_cur = _det_fraction(cur, idx, idx)
-    if d_cur == 0:  # pragma: no cover - dominated sign is verified
-        return RationalMatrix(tuple(tuple(r) for r in cur))
+    d_cur = _det(cur, idx, idx)
     for i in idx:
         for j in idx:
-            new = Bp.rows[i][j]
-            old = cur[i][j]
+            new, old = new_rows[i][j], cur[i][j]
             if new == old:
                 continue
             cur[i][j] = new
-            d_new = _det_fraction(cur, idx, idx)
+            d_new = _det(cur, idx, idx)
             if d_new == 0:
-                return RationalMatrix(tuple(tuple(r) for r in cur))
+                return RationalMatrix.from_rows(cur)
             if (d_new > 0) != (d_cur > 0):
-                c = (d_new - d_cur) / (new - old)
-                root = old - d_cur / c
-                cur[i][j] = root  # strictly between old and new: sign is valid
-                return RationalMatrix(tuple(tuple(r) for r in cur))
+                # strictly between old and new, so the entry sign is valid
+                cur[i][j] = old - Fraction(d_cur * (new - old), d_new - d_cur)
+                return RationalMatrix.from_rows(cur)
             d_cur = d_new
     raise RealizationError("sign never flipped walking between dominated realizations")
 
@@ -767,12 +759,8 @@ def verify_inverse_relation(B: RationalMatrix) -> InverseCheck:
     t_{n-1}..t_1 A+; with final term A-, the same reversal with all
     superscripts negated.
     """
-    if B.n > INVERSE_ORDER_GUARD:
-        raise OrderGuardError(f"inverse relation check limited to order {INVERSE_ORDER_GUARD}")
-    if B.det() == 0:
-        raise ValueError("matrix is singular")
+    si = sepr_of_matrix(B.inverse())  # guards the order and rejects singular B
     s = sepr_of_matrix(B)
-    si = sepr_of_matrix(B.inverse())
     rev = SeprSequence(tuple(reversed(s.terms[:-1])) + (SeprSymbol.AP,)) if B.n > 1 \
         else SeprSequence((SeprSymbol.AP,))
     expected = rev if s.terms[-1] is SeprSymbol.AP else neg_superscripts(rev)

@@ -269,7 +269,6 @@ def combine(a: SeprSequence, b: SeprSequence) -> SeprSequence:
     out = []
     for k in range(1, n + m + 1):
         lo, hi = max(0, k - m), min(k, n)
-        assert lo <= hi, "no contributing term; impossible for valid lengths"
         acc = None
         for l in range(lo, hi + 1):
             prod = symbol_mul(at(a, l), at(b, k - l))

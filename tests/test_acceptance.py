@@ -30,7 +30,6 @@ from seprkit.pattern import (
 from seprkit.realize import (
     MagnitudeGrid,
     RationalMatrix,
-    _det_fraction,
     allnonzero_realization,
     dominated_realization,
     grid_realizations,
@@ -193,7 +192,7 @@ def test_criterion_7_property_suites():
         for r, c in pairs:
             ridx = [i for i in range(n) if r >> i & 1]
             cidx = [j for j in range(n) if c >> j & 1]
-            assert _det_fraction(B.rows, ridx, cidx) != 0, (P.to_text(), r, c)
+            assert B.minor(ridx, cidx) != 0, (P.to_text(), r, c)
         done += 1
 
     elapsed = time.time() - t0

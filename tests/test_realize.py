@@ -1,6 +1,7 @@
 """Exact realizations: sepr of matrices, grids, targeted constructions."""
 import ast
 import random
+import sys
 from fractions import Fraction
 from itertools import combinations
 from math import factorial
@@ -22,7 +23,6 @@ from seprkit import realize
 from seprkit.realize import (
     MagnitudeGrid,
     RationalMatrix,
-    _det_fraction,
     _term_sign_table,
     allnonzero_realization,
     distinct_sepr_search,
@@ -88,6 +88,82 @@ def test_matrix_parse_roundtrip():
     assert M.entry(0, 1) == Fraction(1, 2)
     with pytest.raises(ValueError):
         RationalMatrix.parse("1 x\n0 1")
+
+
+def _int_from_text(text):
+    # rebuilt 500 digits at a time, each well inside the int-to-str limit
+    digits = text.lstrip("-")
+    value = 0
+    for i in range(0, len(digits), 500):
+        chunk = digits[i:i + 500]
+        value = value * 10 ** len(chunk) + int(chunk)
+    return -value if text.startswith("-") else value
+
+
+def test_matrix_text_prints_entries_past_the_digit_limit():
+    limit = sys.get_int_max_str_digits()
+    big = Fraction(2**20000 + 1, 3)
+    M = RationalMatrix.from_rows([[big, 1], [-big / 7, "-1/2"]])
+    tokens = M.to_text().split()
+    assert M.to_json()["rows"] == [tokens[:2], tokens[2:]]
+    assert tokens[1:4:2] == ["1", "-1/2"]
+    for tok, want in zip(tokens[::2], (big, -big / 7)):
+        num, den = tok.split("/")
+        assert len(num) > 6000
+        assert Fraction(_int_from_text(num), _int_from_text(den)) == want
+    assert sys.get_int_max_str_digits() == limit
+    if limit:  # text from outside the program still meets the limit
+        with pytest.raises(ValueError):
+            RationalMatrix.parse(M.to_text())
+
+
+def test_minor_det_inverse_match_sympy():
+    # sympy (Berkowitz determinant, LU inverse) as an independent oracle on
+    # random rational matrices, some with zero leading entries so that the
+    # elimination has to swap rows
+    import sympy
+
+    rng = random.Random(91)
+
+    def oracle(rows, ridx, cidx):
+        x = sympy.Matrix(rows).extract(list(ridx), list(cidx)).det(method="berkowitz")
+        return Fraction(int(x.p), int(x.q))
+
+    swaps = singular = 0
+    for case in range(240):
+        n = case % 6 + 1
+        rows = [[sympy.Rational(rng.randint(-9, 9), rng.randint(1, 6))
+                 if rng.random() < 0.7 else sympy.Integer(0) for _ in range(n)]
+                for _ in range(n)]
+        if case % 3 == 0 and n > 1:  # zero leading entries down the first column
+            for i in range(rng.randint(1, n - 1)):
+                rows[i][0] = sympy.Integer(0)
+        if case % 5 == 0 and n > 1:  # a repeated row
+            rows[-1] = list(rows[0])
+        M = RationalMatrix.from_rows([[Fraction(int(x.p), int(x.q)) for x in row]
+                                      for row in rows])
+        d = oracle(rows, range(n), range(n))
+        assert M.det() == d, M.to_text()
+        for _ in range(6):
+            k = rng.randint(1, n)
+            ridx = sorted(rng.sample(range(n), k))
+            cidx = sorted(rng.sample(range(n), k))
+            assert M.minor(ridx, cidx) == oracle(rows, ridx, cidx), (M.to_text(), ridx, cidx)
+            swaps += k > 3 and M.rows[ridx[0]][cidx[0]] == 0
+        if d == 0:
+            singular += 1
+            with pytest.raises(ValueError, match="singular"):
+                M.inverse()
+        else:
+            inv = sympy.Matrix(rows).inv(method="LU")
+            assert M.inverse() == RationalMatrix.from_rows(
+                [[Fraction(int(inv[i, j].p), int(inv[i, j].q)) for j in range(n)]
+                 for i in range(n)]), M.to_text()
+    assert swaps >= 100 and singular >= 60
+    with pytest.raises(ValueError):
+        RationalMatrix.identity(3).minor([0, 1], [0])
+    with pytest.raises(OrderGuardError):
+        RationalMatrix.identity(7).inverse()
 
 
 def test_grid_realizations_exhaustive():
@@ -162,7 +238,7 @@ def test_zero_minor_realization_random():
             continue
         B = zero_minor_realization(P, mask)
         idx = [i for i in range(n) if mask >> i & 1]
-        assert _det_fraction(B.rows, idx, idx) == 0
+        assert B.minor(idx, idx) == 0
         assert B.is_realization_of(P)
         hits += 1
 
@@ -183,7 +259,7 @@ def test_allnonzero_reference_pattern():
             for c in combinations(range(n), k):
                 d = signed_det_masked(P, mask_from(r), mask_from(c))
                 if d.value is AmbSign.AMBIGUOUS:
-                    assert _det_fraction(B.rows, r, c) != 0
+                    assert B.minor(r, c) != 0
 
 
 def _bound_walk_allnonzero(P):
@@ -191,14 +267,14 @@ def _bound_walk_allnonzero(P):
 
     Same walk as the library (k, rm, cm order, first (u, v) on a nonzero
     term with a nonzero cofactor, step half the bound over all minors
-    through (u, v)), but each minor is a fresh Fraction elimination and
-    each sign question a fresh signed-determinant scan.
+    through (u, v)), but each minor is computed afresh from the whole
+    matrix and each sign question is a fresh signed-determinant scan.
     """
     n = P.n
     B = [[Fraction(int(s)) for s in row] for row in P.rows]
 
     def det_of(rm, cm):
-        return _det_fraction(B, mask_indices(rm), mask_indices(cm))
+        return RationalMatrix.from_rows(B).minor(mask_indices(rm), mask_indices(cm))
 
     for k in range(2, n + 1):
         ambiguous = [(rm, cm) for rm in subsets_of_size(n, k) for cm in subsets_of_size(n, k)
@@ -241,13 +317,17 @@ def test_allnonzero_equals_bound_walk():
 
 
 def test_realize_has_no_assert_control_flow():
-    # python -O strips assert; failures in realize raise RealizationError
-    tree = ast.parse(Path(realize.__file__).read_text())
-    for node in ast.walk(tree):
-        assert not isinstance(node, ast.Assert), node.lineno
-        if isinstance(node, ast.Raise) and node.exc is not None:
-            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
-            assert not (isinstance(exc, ast.Name) and exc.id == "AssertionError"), node.lineno
+    # python -O strips assert; failures anywhere in the library raise typed
+    # errors (realize.RealizationError, analysis.TheoremContradiction)
+    modules = sorted(Path(realize.__file__).parent.glob("*.py"))
+    assert len(modules) >= 8
+    for path in modules:
+        for node in ast.walk(ast.parse(path.read_text())):
+            assert not isinstance(node, ast.Assert), (path.name, node.lineno)
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                assert not (isinstance(exc, ast.Name) and exc.id == "AssertionError"), \
+                    (path.name, node.lineno)
 
 
 def test_scale_diagonal_to_one():
