@@ -14,7 +14,8 @@ from typing import Iterable, Iterator, Optional
 from .pattern import (
     OrderGuardError,
     SignPattern,
-    full_mask,
+    bigraph,
+    has_perfect_matching,
     mask_indices,
     signed_det_masked,
     subsets_of_size,
@@ -295,7 +296,7 @@ def is_sign_stable_irreducible(P: SignPattern) -> StabilityVerdict:
     semi = is_sign_semi_stable(P)
     if not semi:
         return semi
-    if not signed_det_masked(P, full_mask(n)).has_term:
+    if not has_perfect_matching(bigraph(P)):
         return StabilityVerdict(False, "combinatorially singular: no nonzero determinant term")
     for beta in range(1, 1 << n):
         bidx = mask_indices(beta)

@@ -15,7 +15,7 @@ from typing import Iterable, Iterator, Sequence
 from .signs import AmbSign, Sign
 
 DET_ORDER_GUARD = 16
-TERM_COUNT_CAP = 10**6
+_TERM_SIGN = (Sign.PLUS, Sign.MINUS)  # by "term is negative"
 
 
 class PatternParseError(ValueError):
@@ -204,7 +204,11 @@ def subpattern(P: SignPattern, rows: Iterable[int] | int, cols: Iterable[int] | 
 
 @dataclass(frozen=True)
 class DetSummary:
-    """Outcome of the sign-arithmetic determinant expansion."""
+    """Outcome of the sign-arithmetic determinant expansion.
+
+    `term_count_bound` is the number of term signs found (0, 1 or 2), a
+    lower bound on the number of nonzero terms.
+    """
 
     value: AmbSign
     has_positive_term: bool
@@ -212,7 +216,9 @@ class DetSummary:
     term_count_bound: int
 
     @classmethod
-    def from_terms(cls, has_pos: bool, has_neg: bool, count: int) -> "DetSummary":
+    def from_terms(cls, terms: dict[Sign, list[int]]) -> "DetSummary":
+        """Summary of the first term of each sign found by `_first_terms`."""
+        has_pos, has_neg = Sign.PLUS in terms, Sign.MINUS in terms
         if has_pos and has_neg:
             v = AmbSign.AMBIGUOUS
         elif has_pos:
@@ -221,73 +227,93 @@ class DetSummary:
             v = AmbSign.MINUS
         else:
             v = AmbSign.ZERO
-        return cls(v, has_pos, has_neg, count)
+        return cls(v, has_pos, has_neg, len(terms))
 
     @property
     def has_term(self) -> bool:
         return self.has_positive_term or self.has_negative_term
 
 
-def _det_term_signs(
+def _first_terms(
     rows: Sequence[Sequence[Sign]],
     row_idx: Sequence[int],
     col_idx: Sequence[int],
-    stop_on_both: bool = True,
-) -> tuple[bool, bool, int]:
-    """Scan nonzero permutation terms of det P[row_idx, col_idx].
+) -> dict[Sign, list[int]]:
+    """First nonzero permutation term of each sign of det P[row_idx, col_idx].
 
-    Returns (positive term seen, negative term seen, term count).  With
-    stop_on_both the scan exits as soon as both signs appear; the count is
-    then a lower bound.  Column choices are pruned by availability.
+    Maps each term sign that occurs to the lexicographically first term of
+    that sign, given as the position in `col_idx` picked in each row.
+    Depth-first over partial terms, columns in ascending order.  The
+    completions of a partial term depend only on its (used-column mask,
+    running sign) state, so each state is expanded once: at most 2 * 2**k
+    states.  Once a state is expanded, every sign it can reach has been
+    found, so a later prefix reaching it is skipped.  The search stops when
+    both signs have occurred.
     """
     k = len(row_idx)
     if k == 0:
-        return True, False, 1  # empty determinant is +1 by convention
-    # candidate columns per row, as (subset position, sign)
-    cand = []
-    for i in row_idx:
-        r = rows[i]
-        cand.append(tuple((pos, r[j]) for pos, j in enumerate(col_idx) if r[j] is not Sign.ZERO))
-    # cheapest rows first would not change the result; natural order keeps
-    # term counting reproducible.
-    has_pos = has_neg = False
-    count = 0
-    stack = [(0, 0, 1)]  # (row position, used-column mask, running term sign)
+        return {Sign.PLUS: []}  # empty determinant is +1 by convention
+    last = rows[row_idx[-1]]
+    if k == 1:
+        e = last[col_idx[0]]
+        return {} if e is Sign.ZERO else {_TERM_SIGN[e is Sign.MINUS]: [0]}
+    # per row but the last, the (position, entry is negative) candidates in
+    # descending order, so that ascending positions pop first; row k - 2
+    # completes the last row in place and so runs ascending
+    rev = tuple(enumerate(col_idx))[::-1]
+    cand = [[(pos, e is Sign.MINUS) for pos, j in rev if (e := r[j]) is not Sign.ZERO]
+            for r in map(rows.__getitem__, row_idx[:-1])]
+    cand[-1].reverse()
+    top = k - 1
+    full = (1 << k) - 1
+    found: dict[Sign, list[int]] = {}
+    seen = set()
+    path = [0] * (k + 1)  # path[d] is the position picked in row d - 1
+    stack = [(0, 0, False, 0)]  # (rows placed, used-column mask, term is negative, pick)
     while stack:
-        depth, used, sgn = stack.pop()
-        if depth == k:
-            count += 1
-            if sgn > 0:
-                has_pos = True
-            else:
-                has_neg = True
-            if stop_on_both and has_pos and has_neg:
-                break
-            if count >= TERM_COUNT_CAP:
-                break
+        depth, used, neg, pick = stack.pop()
+        path[depth] = pick
+        if depth < top - 1:
+            for pos, e in cand[depth]:
+                bit = 1 << pos
+                if used & bit:
+                    continue
+                # parity update: inversions added by placing column `pos` now
+                t = neg ^ e ^ ((used >> (pos + 1)).bit_count() & 1)
+                key = (used | bit) << 1 | t
+                if key not in seen:
+                    seen.add(key)
+                    stack.append((depth + 1, used | bit, t, pos))
             continue
-        for pos, s in cand[depth]:
+        for pos, e in cand[depth]:
             bit = 1 << pos
             if used & bit:
                 continue
-            # parity update: inversions added by placing column `pos` now
-            inv = (used >> (pos + 1)).bit_count()
-            t = sgn * int(s) * (-1 if inv & 1 else 1)
-            stack.append((depth + 1, used | bit, t))
-    return has_pos, has_neg, count
+            # the last row takes the one free column q, after top - q larger ones
+            q = (full ^ used ^ bit).bit_length() - 1
+            f = last[col_idx[q]]
+            if f is Sign.ZERO:
+                continue
+            inv = (used >> (pos + 1)).bit_count() + top - q
+            s = _TERM_SIGN[neg ^ e ^ (f is Sign.MINUS) ^ (inv & 1)]
+            if s not in found:
+                path[top] = pos
+                path[k] = q
+                found[s] = path[1:]
+                if len(found) == 2:
+                    return found
+    return found
 
 
 def signed_det_masked(P: SignPattern, rows_mask: int, cols_mask: int | None = None) -> DetSummary:
     """Signed determinant of P[rows_mask, cols_mask] without building the subpattern."""
-    if cols_mask is None:
-        cols_mask = rows_mask
     ridx = mask_indices(rows_mask)
-    cidx = mask_indices(cols_mask)
+    cidx = ridx if cols_mask is None else mask_indices(cols_mask)
     if len(ridx) != len(cidx):
         raise ValueError("determinant needs equal-size row and column sets")
     if len(ridx) > DET_ORDER_GUARD:
         raise OrderGuardError(f"signed determinant limited to order {DET_ORDER_GUARD}")
-    return DetSummary.from_terms(*_det_term_signs(P.rows, ridx, cidx))
+    return DetSummary.from_terms(_first_terms(P.rows, ridx, cidx))
 
 
 def signed_det(P: SignPattern) -> DetSummary:
@@ -297,7 +323,7 @@ def signed_det(P: SignPattern) -> DetSummary:
     n = P.n
     if n > DET_ORDER_GUARD:
         raise OrderGuardError(f"signed determinant limited to order {DET_ORDER_GUARD}")
-    return DetSummary.from_terms(*_det_term_signs(P.rows, range(n), range(n)))
+    return DetSummary.from_terms(_first_terms(P.rows, range(n), range(n)))
 
 
 def is_ambiguous(P: SignPattern) -> bool:

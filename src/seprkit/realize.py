@@ -35,6 +35,7 @@ import numpy as np
 from .pattern import (
     OrderGuardError,
     SignPattern,
+    _first_terms,
     mask_indices,
     signed_det_masked,
     subsets_of_size,
@@ -485,55 +486,23 @@ def ones_realization(P: SignPattern) -> RationalMatrix:
     return RationalMatrix.from_rows([[int(s) for s in row] for row in P.rows])
 
 
-def _term_positions(P: SignPattern, mask: int, target: Sign) -> Optional[tuple[tuple[int, int], ...]]:
-    """Positions of one permutation term of det P[mask] with term sign `target`."""
-    idx = mask_indices(mask)
-    k = len(idx)
-    cand = []
-    for i in idx:
-        cand.append(tuple((pos, P.rows[i][j]) for pos, j in enumerate(idx)
-                          if P.rows[i][j] is not Sign.ZERO))
-    result: Optional[tuple[tuple[int, int], ...]] = None
-
-    def rec(depth: int, used: int, sgn: int, picks: list[int]) -> bool:
-        if depth == k:
-            if sgn == int(target):
-                nonlocal result
-                result = tuple((idx[r], idx[p]) for r, p in enumerate(picks))
-                return True
-            return False
-        for pos, s in cand[depth]:
-            bit = 1 << pos
-            if used & bit:
-                continue
-            inv = (used >> (pos + 1)).bit_count()
-            t = sgn * int(s) * (-1 if inv & 1 else 1)
-            picks.append(pos)
-            if rec(depth + 1, used | bit, t, picks):
-                return True
-            picks.pop()
-        return False
-
-    rec(0, 0, 1, [])
-    return result
-
-
 def dominated_realization(P: SignPattern, mask: int, target: Sign) -> Optional[RationalMatrix]:
     """Realization whose minor on `mask` provably has sign `target`.
 
-    Picks one permutation term of that sign and inflates its entries until
-    the exactly-computed minor agrees; None when no such term exists.
+    Picks the lexicographically first permutation term of that sign and
+    inflates its entries until the exactly-computed minor agrees; None when
+    no such term exists.
     """
     if target is Sign.ZERO:
         raise ValueError("use zero_minor_realization for a zero target")
-    term = _term_positions(P, mask, target)
-    if term is None:
-        return None
     idx = mask_indices(mask)
+    picks = _first_terms(P.rows, idx, idx).get(target)
+    if picks is None:
+        return None
     for w in (4, 16, 64, 256, 1024, 4096):
         rows = [[int(s) for s in row] for row in P.rows]
-        for i, j in term:
-            rows[i][j] *= w
+        for i, p in zip(idx, picks):
+            rows[i][idx[p]] *= w
         if Sign.of(_det(rows, idx, idx)) is target:
             return RationalMatrix.from_rows(rows)
     return None

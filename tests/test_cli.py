@@ -53,6 +53,15 @@ def test_det_command(capsys, tmp_path):
     assert code == 0 and out.strip() == "ambiguous"
 
 
+def test_det_command_at_the_order_guard(capsys, tmp_path):
+    p = tmp_path / "p.txt"
+    p.write_text("".join("0" + "+" * 15 + "\n" for _ in range(16)))  # zero column
+    code, out, _ = run(capsys, "det", "--pattern", str(p), "--json")
+    assert code == 0
+    assert json.loads(out) == {"command": "det", "value": "0",
+                               "has_positive_term": False, "has_negative_term": False}
+
+
 def test_semistable_exit_codes(capsys, tmp_path):
     p = tmp_path / "p.txt"
     p.write_text("0-\n+0\n")

@@ -211,6 +211,14 @@ def test_stability_pair():
     assert not v and "singular" in v.reason
 
 
+def test_stability_past_the_det_guard():
+    # the stability guard admits orders the signed determinant does not
+    P = path_pattern(17, loops="all")
+    assert is_sign_stable_irreducible(P)
+    v = is_sign_stable_irreducible(path_pattern(17))  # odd path, no loops
+    assert not v and "singular" in v.reason
+
+
 def test_matching_number():
     assert matching_number(digraph_of(path_pattern(4))) == 2
     assert matching_number(digraph_of(star_pattern(5))) == 1

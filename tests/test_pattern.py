@@ -1,9 +1,12 @@
 """Sign patterns: parsing, subpatterns, signed determinants, bigraphs."""
 import random
+from itertools import permutations
+from time import perf_counter
 
 import pytest
 
 from seprkit.pattern import (
+    DET_ORDER_GUARD,
     OrderGuardError,
     PatternParseError,
     SignPattern,
@@ -105,6 +108,64 @@ def test_is_ambiguous_examples():
 def test_order_guard():
     with pytest.raises(OrderGuardError):
         signed_det(SignPattern.zero(17))
+
+
+def _expansion_signs(P, ridx, cidx):
+    """Brute force: the term signs of the full permutation expansion."""
+    signs = set()
+    for perm in permutations(range(len(cidx))):
+        inversions = sum(perm[a] > perm[b] for b in range(len(perm)) for a in range(b))
+        term = -1 if inversions & 1 else 1
+        for i, p in zip(ridx, perm):
+            term *= int(P.rows[i][cidx[p]])
+        if term:
+            signs.add(term)
+    return 1 in signs, -1 in signs
+
+
+def test_signed_det_matches_permutation_expansion():
+    rng = random.Random(15)
+    kinds = set()
+    for n in range(1, 8):
+        for density in (0.3, 0.6, 1.0):
+            for _ in range(6):
+                P = SignPattern.from_rows(
+                    [[rng.choice((1, -1)) if rng.random() < density else 0 for _ in range(n)]
+                     for _ in range(n)])
+                pairs = [(full_mask(n), None)]
+                for _ in range(5):
+                    k = rng.randint(0, n)
+                    rm = mask_from(rng.sample(range(n), k))
+                    pairs += [(rm, None), (rm, mask_from(rng.sample(range(n), k)))]
+                for rm, cm in pairs:
+                    d = signed_det_masked(P, rm, cm)
+                    want = _expansion_signs(P, mask_indices(rm), mask_indices(rm if cm is None else cm))
+                    assert (d.has_positive_term, d.has_negative_term) == want, (P.to_text(), rm, cm)
+                    assert d.term_count_bound == sum(want)
+                    kinds.add((rm.bit_count(), cm is None or cm == rm))
+    # every index-set size 0..7 occurs principal, and every size 1..6 not
+    assert {k for k, principal in kinds if principal} == set(range(8))
+    assert {k for k, principal in kinds if not principal} == set(range(1, 7))
+
+
+def _term_free_families(n):
+    """Dense all-plus patterns without a nonzero term: the slowest known."""
+    zero_column = [[0] + [1] * (n - 1) for _ in range(n)]
+    zero_last_row = [[1] * n for _ in range(n - 1)] + [[0] * n]
+    shared_column = [[1] * n for _ in range(n - 2)] + [[1] + [0] * (n - 1)] * 2
+    return [SignPattern.from_rows(rows) for rows in (zero_column, zero_last_row, shared_column)]
+
+
+def test_signed_det_guard_budget():
+    # at the order guard, each worst family settles well inside the ceiling
+    ceiling_s = 10.0
+    for P in _term_free_families(DET_ORDER_GUARD):
+        t0 = perf_counter()
+        d = signed_det(P)
+        elapsed = perf_counter() - t0
+        assert d.value is AmbSign.ZERO and not d.has_term and d.term_count_bound == 0
+        assert elapsed < ceiling_s, (P.to_text(), elapsed)
+        assert not has_perfect_matching(bigraph(P))
 
 
 def test_ambiguous_patterns_realize_both_signs():

@@ -12,6 +12,7 @@ import pytest
 from seprkit.pattern import (
     OrderGuardError,
     SignPattern,
+    _first_terms,
     full_mask,
     mask_from,
     mask_indices,
@@ -314,6 +315,61 @@ def test_allnonzero_equals_bound_walk():
         for (rm, cm), signs in _term_sign_table(P).items():
             d = signed_det_masked(P, rm, cm)
             assert signs == d.has_positive_term | d.has_negative_term << 1, (P.to_text(), rm, cm)
+
+
+def _term_positions(P, mask, target):
+    """Reference: the first term of sign `target` by plain recursion.
+
+    Columns in ascending order, no state pruning, first hit wins; returns
+    the (row, column) positions of the term, or None.
+    """
+    idx = mask_indices(mask)
+    k = len(idx)
+    cand = [tuple((pos, P.rows[i][j]) for pos, j in enumerate(idx) if P.rows[i][j] is not Sign.ZERO)
+            for i in idx]
+    result = None
+
+    def rec(depth, used, sgn, picks):
+        nonlocal result
+        if depth == k:
+            if sgn == int(target):
+                result = tuple((idx[r], idx[p]) for r, p in enumerate(picks))
+                return True
+            return False
+        for pos, s in cand[depth]:
+            bit = 1 << pos
+            if used & bit:
+                continue
+            inv = (used >> (pos + 1)).bit_count()
+            picks.append(pos)
+            if rec(depth + 1, used | bit, sgn * int(s) * (-1 if inv & 1 else 1), picks):
+                return True
+            picks.pop()
+        return False
+
+    rec(0, 0, 1, [])
+    return result
+
+
+def test_first_terms_equal_recursive_reference():
+    # the pruned search returns the lexicographically first term of each sign
+    rng = random.Random(84)
+    cases = found = both = 0
+    while cases < 2400:
+        n = rng.randint(1, 7)
+        P = _random_pattern(rng, n, max(1, round(rng.choice((0.3, 0.6, 1.0)) * n * n)))
+        for mask in rng.sample(range(1 << n), min(1 << n, 12)):
+            idx = mask_indices(mask)
+            terms = _first_terms(P.rows, idx, idx)
+            for target in (Sign.PLUS, Sign.MINUS):
+                picks = terms.get(target)
+                got = None if picks is None else tuple((i, idx[p]) for i, p in zip(idx, picks))
+                want = _term_positions(P, mask, target)
+                assert got == want, (P.to_text(), mask, target)
+                found += want is not None
+            both += len(terms) == 2
+            cases += 1
+    assert found > 2000 and both > 200
 
 
 def test_realize_has_no_assert_control_flow():
