@@ -4,8 +4,12 @@ Everything here is exact: matrices carry Fraction entries, and realization
 sweeps are reproducible from a seed.  Each exact minor, determinant or
 inverse comes from one kernel, _det: integer rows (positive row scaling
 clears the denominators), closed forms to order 3 and fraction-free
-Bareiss elimination above.  Only whole tables of minors (the batched
-sweep, the all-nonzero walk) are built by Laplace recursion instead.
+Bareiss elimination above.  Whole tables of minors are built otherwise:
+by Laplace recursion in the batched sweep and the all-nonzero walk, and,
+for the sepr of one matrix, by one depth-first walk over index sets in
+which each set's bordered minors follow from its parent's by one exact
+step of Sylvester's identity (below a zero principal minor, from _det on
+the table of its nearest nonzero ancestor).
 Alongside the plain grid sweep the module provides targeted constructors
 (dominate a chosen term, hit an exact zero of an ambiguous minor, make
 all ambiguous minors nonzero) that the analysis layer uses to separate
@@ -176,8 +180,11 @@ def _int_row(row: Sequence[Fraction]) -> tuple[int, list[int]]:
     Positive per-row scaling multiplies every minor by a positive factor, so
     all minor signs are preserved.
     """
-    mult = lcm(*(x.denominator for x in row))
-    return mult, [x.numerator * (mult // x.denominator) for x in row]
+    dens = [x.denominator for x in row]
+    mult = lcm(*dens)
+    if mult == 1:
+        return 1, [x.numerator for x in row]
+    return mult, [x.numerator * (mult // q) for x, q in zip(row, dens)]
 
 
 def _int_rows(B: RationalMatrix) -> list[list[int]]:
@@ -238,23 +245,89 @@ def sepr_sequence_of_minor_signs(sign_masks: Sequence[int]) -> SeprSequence:
 def sepr_of_matrix(B: RationalMatrix) -> SeprSequence:
     """Exact sepr-sequence of a rational matrix.
 
-    For each k the signs of all order-k principal minors are computed over
-    the integers; the k-th symbol records which of +, -, 0 occur.
+    The k-th symbol records which of +, -, 0 occur among the order-k
+    principal minors.  All 2^n - 1 of them come from one depth-first walk
+    over index sets S of the integer rows A (positive row scaling keeps
+    every sign), indices added in ascending order: the principal-minor
+    recursion of Griffin and Tsatsomeros, done fraction-free.  A node with
+    det A[S] != 0 holds the table T[i][j] = det A[S+i, S+j] for i, j > max S.
+    Its children's determinants are the diagonal of T, and child S+p builds
+    its own table by one exact step of Sylvester's identity,
+    (T[p][p] T[i][j] - T[i][p] T[p][j]) / det A[S].
+
+    Below a zero minor det A[S+E] = 0 the walk keeps T and det A[S] and
+    reads each descendant S+F from the general identity
+    det T[F, F] = det A[S]^(|F|-1) det A[S+F].  It rebuilds a table at the
+    first descendant whose determinant is nonzero and that has at least
+    three indices after it; nearer the leaves the few remaining
+    determinants are cheaper to read from T.  A subtree is skipped once
+    every order it can still reach has shown +, - and 0.
     """
     n = B.n
     if n > SEPR_ORDER_GUARD:
         raise OrderGuardError(f"sepr computation limited to order {SEPR_ORDER_GUARD}")
-    rows = _int_rows(B)
-    masks = []
-    for k in range(1, n + 1):
-        seen = 0
-        for idx in combinations(range(n), k):
-            d = _det(rows, idx, idx)
-            seen |= 1 if d > 0 else (2 if d < 0 else 4)
-            if seen == 7:
-                break
-        masks.append(seen)
-    return sepr_sequence_of_minor_signs(masks)
+    seen = [0] * (n + 2)  # per order: 1 a positive minor, 2 a negative one, 4 a zero one
+    _principal_walk(seen, _int_rows(B), 1, 0)
+    return sepr_sequence_of_minor_signs(seen[1:n + 1])
+
+
+def _mark(seen: list[int], order: int, x: int, d: int, e: int) -> None:
+    """Record the sign of the order-`order` minor x / d^e."""
+    seen[order] |= 4 if x == 0 else (1 if (x > 0) != (d < 0 and e % 2 == 1) else 2)
+
+
+def _principal_walk(seen: list[int], T: list[list[int]], d: int, k: int) -> None:
+    """Walk the subtree of S: T is its table over the indices after max S,
+    d = det A[S] != 0 and k = |S|."""
+    m = len(T)
+    s = seen[k + 1]
+    for i in range(m):
+        v = T[i][i]
+        s |= 1 if v > 0 else (2 if v < 0 else 4)
+    seen[k + 1] = s
+    # child p reaches orders k + 2 .. k + m - p; o is the lowest unfinished one
+    o = k + 2
+    while o <= k + m and seen[o] == 7:
+        o += 1
+    for p in range(min(m - 1, k + m - o + 1)):
+        v, rp = T[p][p], T[p]
+        if p == m - 2:
+            last = T[m - 1]
+            _mark(seen, k + 2, v * last[m - 1] - last[p] * rp[m - 1], d, 1)
+        elif v:
+            _principal_walk(seen, [[(v * ri[j] - ri[p] * rp[j]) // d for j in range(p + 1, m)]
+                                   for ri in T[p + 1:]], v, k + 1)
+        else:
+            _zero_walk(seen, T, d, k, [p])
+
+
+def _zero_walk(seen: list[int], T: list[list[int]], d: int, k: int, E: list[int]) -> None:
+    """Walk the subtree of S+E, where det A[S+E] = 0 and S, with k = |S|,
+    has table T and d = det A[S] != 0."""
+    m = len(T)
+    kk = k + len(E) + 1  # the order of each child S+E+q
+    o = kk + 1
+    while o <= kk + m - 2 - E[-1] and seen[o] == 7:
+        o += 1
+    for q in range(E[-1] + 1, m):
+        F = E + [q]
+        deep = q < m - 3  # three or more indices after q: a new table pays
+        v = 0  # unless computed, neither its sign nor a table is needed
+        if deep or seen[kk] != 7:
+            v = _det(T, F, F)
+            _mark(seen, kk, v, d, len(E))
+        if q == m - 1 or q > kk + m - 1 - o:
+            continue
+        if v and deep:
+            dk = d ** len(F)
+            rest = range(q + 1, m)
+            _principal_walk(seen, [[_det(T, F + [i], F + [j]) // dk for j in rest] for i in rest],
+                            v // (dk // d), kk)
+        elif q == m - 2:
+            F.append(m - 1)
+            _mark(seen, kk + 1, _det(T, F, F), d, len(F) - 1)
+        else:
+            _zero_walk(seen, T, d, k, F)
 
 
 # ---------------------------------------------------------------------------
@@ -490,8 +563,10 @@ def dominated_realization(P: SignPattern, mask: int, target: Sign) -> Optional[R
     """Realization whose minor on `mask` provably has sign `target`.
 
     Picks the lexicographically first permutation term of that sign and
-    inflates its entries until the exactly-computed minor agrees; None when
-    no such term exists.
+    multiplies its entries by w = 4, 16, 64, ... until the exactly-computed
+    minor agrees; None when no such term exists.  Every other term of the
+    order-k minor shares at most k - 2 entries with the chosen one, so once
+    w^2 >= k! the chosen term outweighs the k! - 1 others and the sign holds.
     """
     if target is Sign.ZERO:
         raise ValueError("use zero_minor_realization for a zero target")
@@ -499,13 +574,16 @@ def dominated_realization(P: SignPattern, mask: int, target: Sign) -> Optional[R
     picks = _first_terms(P.rows, idx, idx).get(target)
     if picks is None:
         return None
-    for w in (4, 16, 64, 256, 1024, 4096):
+    w = 4
+    while True:
         rows = [[int(s) for s in row] for row in P.rows]
         for i, p in zip(idx, picks):
             rows[i][idx[p]] *= w
         if Sign.of(_det(rows, idx, idx)) is target:
             return RationalMatrix.from_rows(rows)
-    return None
+        if w * w >= factorial(len(idx)):
+            raise RealizationError("a dominating term did not fix the minor's sign")
+        w *= 4
 
 
 def zero_minor_realization(P: SignPattern, mask: int) -> Optional[RationalMatrix]:

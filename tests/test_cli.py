@@ -62,6 +62,19 @@ def test_det_command_at_the_order_guard(capsys, tmp_path):
                                "has_positive_term": False, "has_negative_term": False}
 
 
+def test_sepr_command_at_the_order_guard(capsys, tmp_path):
+    # J - I: every order-k principal minor is (-1)^(k-1) (k-1)
+    p = tmp_path / "m.txt"
+    p.write_text("".join(" ".join("0" if i == j else "1" for j in range(14)) + "\n"
+                         for i in range(14)))
+    code, out, err = run(capsys, "sepr", "--matrix", str(p))
+    assert code == 0 and err == ""
+    assert out.strip() == "N" + "".join("A-" if k % 2 == 0 else "A+" for k in range(2, 15))
+    p.write_text("".join(" ".join(["1"] * 15) + "\n" for _ in range(15)))
+    code, out, err = run(capsys, "sepr", "--matrix", str(p))
+    assert code == 2 and out == "" and err.startswith("error: ") and "order 14" in err
+
+
 def test_semistable_exit_codes(capsys, tmp_path):
     p = tmp_path / "p.txt"
     p.write_text("0-\n+0\n")

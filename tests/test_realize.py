@@ -2,6 +2,7 @@
 import ast
 import random
 import sys
+import time
 from fractions import Fraction
 from itertools import combinations
 from math import factorial
@@ -80,6 +81,99 @@ def test_sepr_is_scale_invariant():
 def test_sepr_order_guard():
     with pytest.raises(OrderGuardError):
         sepr_of_matrix(RationalMatrix.identity(15))
+
+
+def _sepr_by_minors(B):
+    """Reference: per-order sign masks from one exact determinant per principal minor.
+
+    Bit 1 marks a positive order-k principal minor, 2 a negative one and 4 a
+    zero one; an order stops at its first mask with all three.
+    """
+    n = B.n
+    rows = realize._int_rows(B)
+    masks = []
+    for k in range(1, n + 1):
+        seen = 0
+        for idx in combinations(range(n), k):
+            d = realize._det(rows, idx, idx)
+            seen |= 1 if d > 0 else (2 if d < 0 else 4)
+            if seen == 7:
+                break
+        masks.append(seen)
+    return masks
+
+
+def _oracle_matrix(rng, n, kind):
+    if kind == "integer":
+        return [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+    if kind == "rational":
+        return [[Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(n)] for _ in range(n)]
+    if kind == "zero-diagonal":
+        return [[0 if i == j else rng.choice((-2, -1, 1, 3)) for j in range(n)] for i in range(n)]
+    if kind == "sparse":
+        return [[rng.choice((-1, 0, 0, 1)) for _ in range(n)] for _ in range(n)]
+    if kind == "symmetric":
+        U = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+        return [[U[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+    if kind == "repeated-row":
+        rows = _oracle_matrix(rng, n, rng.choice(("integer", "sparse")))
+        rows[rng.randrange(n)] = list(rows[rng.randrange(n)])
+        return rows
+    r = int(kind[-1])  # "rank-1" .. "rank-3": a product of n x r and r x n factors
+    U = [[rng.randint(-3, 3) for _ in range(r)] for _ in range(n)]
+    V = [[Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(n)] for _ in range(r)]
+    return [[sum(U[i][t] * V[t][j] for t in range(r)) for j in range(n)] for i in range(n)]
+
+
+def test_principal_walk_equals_minor_by_minor_reference():
+    # every order's sign mask matches one determinant per minor; the walk
+    # also meets many nonzero minors directly below a zero one, where it
+    # reads determinants from an ancestor's table and rebuilds a table
+    rng = random.Random(91)
+    kinds = ("integer", "rational", "zero-diagonal", "sparse", "rank-1", "rank-2", "rank-3",
+             "symmetric", "repeated-row")
+    below_zero = 0
+    for n in range(1, 10):
+        for kind in kinds:
+            # sparse matrices leave orders unsaturated, so one wrong sign shows
+            for _ in range(3 if n == 9 else 30 if kind == "sparse" else 6):
+                B = RationalMatrix.from_rows(_oracle_matrix(rng, n, kind))
+                want = _sepr_by_minors(B)
+                got = sepr_of_matrix(B)
+                assert [t.sign_mask for t in got.terms] == want, (kind, B.to_text())
+                assert got == realize.sepr_sequence_of_minor_signs(want)
+                if n <= 7:
+                    rows = realize._int_rows(B)
+                    zero = {m for m in range(1, 1 << n)
+                            if realize._det(rows, mask_indices(m), mask_indices(m)) == 0}
+                    # the walk's parent of S is S without its largest index
+                    below_zero += sum(1 for m in range(1, 1 << n) if m not in zero
+                                      and m & (m - 1) and (m ^ 1 << (m.bit_length() - 1)) in zero)
+    assert below_zero >= 1200, below_zero
+
+
+def test_sepr_guard_budget():
+    # at SEPR_ORDER_GUARD every shape of input finishes well inside its ceiling
+    n = realize.SEPR_ORDER_GUARD
+    rng = random.Random(92)
+    u, w = [rng.randint(1, 3) for _ in range(n)], [rng.choice((-2, -1, 1, 2)) for _ in range(n)]
+    u2, w2 = [rng.randint(-3, 3) for _ in range(n)], [rng.randint(-3, 3) for _ in range(n)]
+    cases = {
+        "zero": [[0] * n for _ in range(n)],
+        "rank-1": [[u[i] * w[j] for j in range(n)] for i in range(n)],
+        "rank-2": [[u[i] * w[j] + u2[i] * w2[j] for j in range(n)] for i in range(n)],
+        "identity": [[int(i == j) for j in range(n)] for i in range(n)],
+        "dense": [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)],
+        "zero-diagonal": [[0 if i == j else rng.choice((-1, 1)) for j in range(n)]
+                          for i in range(n)],
+    }
+    for name, rows in cases.items():
+        B = RationalMatrix.from_rows(rows)
+        start = time.perf_counter()
+        got = sepr_of_matrix(B)
+        elapsed = time.perf_counter() - start
+        assert elapsed < 5.0, (name, elapsed)
+        assert [t.sign_mask for t in got.terms] == _sepr_by_minors(B), name
 
 
 def test_matrix_parse_roundtrip():
@@ -223,6 +317,22 @@ def test_dominated_and_zero_realizations():
     assert dominated_realization(S, m, Sign.MINUS) is None
     assert zero_minor_realization(S, m) is None
     assert zero_minor_realization(SignPattern.zero(2), m).det() == 0
+
+
+def test_dominated_realization_past_order_ten():
+    # orders 11 and 12 lie past the old ladder's proof (4096^2 < 11!); dense
+    # +/- patterns and diag +, off-diagonal - (whose all-unit determinant is
+    # negative, so the positive target needs w = 16) give both signs
+    rng = random.Random(93)
+    for n in (11, 12):
+        dense = _random_pattern(rng, n, n * n)
+        skew = SignPattern(tuple(tuple(Sign.PLUS if i == j else Sign.MINUS for j in range(n))
+                                 for i in range(n)))
+        for P in (dense, skew):
+            for target in (Sign.PLUS, Sign.MINUS):
+                B = dominated_realization(P, full_mask(n), target)
+                assert B is not None and B.is_realization_of(P)
+                assert Sign.of(B.minor(range(n), range(n))) is target, (P.to_text(), target)
 
 
 def test_zero_minor_realization_random():
