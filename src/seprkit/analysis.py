@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from math import prod
 from typing import Optional
 
 from .digraph import (
@@ -20,7 +21,7 @@ from .digraph import (
     matching_number,
     simplify,
 )
-from .pattern import SignPattern, signed_det_masked, subsets_of_size
+from .pattern import SignPattern, principal_term_signs, subsets_of_size
 from .realize import (
     ALLNONZERO_ORDER_GUARD,
     MagnitudeGrid,
@@ -30,9 +31,7 @@ from .realize import (
     sepr_of_matrix,
     sweep_sepr_table,
 )
-from .signs import AmbSign, SeprSequence, SeprSymbol, Sign
-
-_SIGN_BIT = {AmbSign.PLUS: 1, AmbSign.MINUS: 2, AmbSign.ZERO: 4}
+from .signs import SeprSequence, SeprSymbol, Sign
 
 
 class TheoremContradiction(AssertionError):
@@ -63,52 +62,52 @@ class TermVerdict:
         return self.status is not TermStatus.UNKNOWN
 
 
-def fixed_term(P: SignPattern, k: int) -> TermVerdict:
-    """Decide the k-th term from the signed determinants of the k x k
-    principal subpatterns.
+def term_verdicts(P: SignPattern) -> tuple[TermVerdict, ...]:
+    """Decide each term from the signed determinants of the principal
+    subpatterns of its order, all read from one term-sign table.
 
     All subpatterns signed: the symbol is read off the sign multiset.
     Otherwise the term is still forced to S* when +, -, 0 all occur among
     the signed ones; with ambiguity present and witnesses missing the term
     is unknown.
     """
-    n = P.n
-    if not 1 <= k <= n:
-        raise ValueError(f"k must lie in 1..{n}")
-    present = 0
-    witness = {1: None, 2: None, 4: None}
-    ambiguous = []
-    for mask in subsets_of_size(n, k):
-        d = signed_det_masked(P, mask)
-        if d.value is AmbSign.AMBIGUOUS:
-            ambiguous.append(mask)
-            continue
-        bit = _SIGN_BIT[d.value]
-        present |= bit
-        if witness[bit] is None:
-            witness[bit] = mask
-    if not ambiguous:
-        return TermVerdict(k, TermStatus.FIXED_BY_SIGNED_DETS,
-                           SeprSymbol.from_sign_mask(present))
-    if present == 7:
-        return TermVerdict(k, TermStatus.FIXED_SSTAR_BY_WITNESSES, SeprSymbol.SST,
-                           (witness[1], witness[2], witness[4]), tuple(ambiguous))
-    return TermVerdict(k, TermStatus.UNKNOWN, None, None, tuple(ambiguous))
+    signs = principal_term_signs(P)
+    out = []
+    for k in range(1, P.n + 1):
+        present = 0
+        witness: dict[int, int] = {}  # sign bit -> first mask with that det
+        ambiguous = []
+        for mask in subsets_of_size(P.n, k):
+            bit = signs[mask] or 4  # 1 +, 2 -, 3 ambiguous, 4 zero (no term)
+            if bit == 3:
+                ambiguous.append(mask)
+                continue
+            present |= bit
+            witness.setdefault(bit, mask)
+        if not ambiguous:
+            out.append(TermVerdict(k, TermStatus.FIXED_BY_SIGNED_DETS,
+                                   SeprSymbol.from_sign_mask(present)))
+        elif present == 7:
+            out.append(TermVerdict(k, TermStatus.FIXED_SSTAR_BY_WITNESSES, SeprSymbol.SST,
+                                   (witness[1], witness[2], witness[4]), tuple(ambiguous)))
+        else:
+            out.append(TermVerdict(k, TermStatus.UNKNOWN, None, None, tuple(ambiguous)))
+    return tuple(out)
 
 
-def term_verdicts(P: SignPattern) -> tuple[TermVerdict, ...]:
-    return tuple(fixed_term(P, k) for k in range(1, P.n + 1))
+def fixed_term(P: SignPattern, k: int) -> TermVerdict:
+    """The k-th of `term_verdicts`."""
+    if not 1 <= k <= P.n:
+        raise ValueError(f"k must lie in 1..{P.n}")
+    return term_verdicts(P)[k - 1]
 
 
 def fixed_sequence(P: SignPattern) -> Optional[SeprSequence]:
-    """The sequence when every position is fixed; None on the first unknown."""
-    syms = []
-    for k in range(1, P.n + 1):
-        v = fixed_term(P, k)
-        if not v.fixed:
-            return None
-        syms.append(v.symbol)
-    return SeprSequence(tuple(syms))
+    """The sequence when every position is fixed; None otherwise."""
+    verdicts = term_verdicts(P)
+    if not all(v.fixed for v in verdicts):
+        return None
+    return SeprSequence(tuple(v.symbol for v in verdicts))
 
 
 # ---------------------------------------------------------------------------
@@ -186,12 +185,13 @@ class SeprSetEstimate:
 def position_upper_sets(P: SignPattern) -> tuple[frozenset[SeprSymbol], ...]:
     """Per-position symbol sets with subpattern determinants treated independently."""
     n = P.n
+    signs = principal_term_signs(P)
     out = []
     for k in range(1, n + 1):
         reachable = {0}
         for mask in subsets_of_size(n, k):
-            d = signed_det_masked(P, mask)
-            bits = (1, 2, 4) if d.value is AmbSign.AMBIGUOUS else (_SIGN_BIT[d.value],)
+            s = signs[mask]
+            bits = (1, 2, 4) if s == 3 else (s or 4,)
             reachable = {u | b for u in reachable for b in bits}
         out.append(frozenset(SeprSymbol.from_sign_mask(u) for u in reachable))
     return tuple(out)
@@ -205,16 +205,9 @@ def sepr_set_estimate(P: SignPattern, grid: Optional[MagnitudeGrid] = None,
         lower.setdefault(sepr_of_matrix(B), B)
     upper = position_upper_sets(P)
     realized = [frozenset(seq.terms[k] for seq in lower) for k in range(P.n)]
-    size_matches = len(lower) == _product(len(u) for u in upper)
+    size_matches = len(lower) == prod(len(u) for u in upper)
     tight = size_matches and all(r == u for r, u in zip(realized, upper))
     return SeprSetEstimate(lower, upper, tight)
-
-
-def _product(it) -> int:
-    out = 1
-    for x in it:
-        out *= x
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -264,6 +264,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _seed(text: str) -> int:
+    value = int(text)
+    if not 0 <= value < 2**128:  # the range of a Philox key
+        raise argparse.ArgumentTypeError(f"must lie in [0, 2**128), got {value}")
+    return value
+
+
 def _add_common(p: argparse.ArgumentParser, pattern=False, matrix=False,
                 sweep=False, budget_default=10**6) -> None:
     if pattern:
@@ -273,7 +280,7 @@ def _add_common(p: argparse.ArgumentParser, pattern=False, matrix=False,
     if sweep:
         p.add_argument("--grid", metavar="CSV", help="comma-separated positive rationals")
         p.add_argument("--budget", type=_positive_int, default=budget_default, metavar="N")
-        p.add_argument("--seed", type=int, default=0, metavar="N")
+        p.add_argument("--seed", type=_seed, default=0, metavar="N")
     p.add_argument("--json", action="store_true", help="emit JSON instead of text")
 
 
@@ -352,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threads", type=int, default=1, metavar="N",
                    help="worker processes for the full sweep (0 = auto)")
     p.add_argument("--budget", type=_positive_int, default=10**6)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     _add_common(p)
     p.set_defaults(fn=_cmd_verify_paper)
 

@@ -42,8 +42,10 @@ from .pattern import SignPattern
 from .realize import (
     MagnitudeGrid,
     RationalMatrix,
-    _SYMBOL_LUT,
+    _digit_batches,
     _sequence_from_code,
+    _slice_codes,
+    _sweep_plan,
     ones_realization,
     sepr_of_matrix,
     sweep_sepr_table,
@@ -317,47 +319,28 @@ EMBEDDED_ORDER3_WITNESSES: dict[str, tuple[tuple[Fraction, ...], ...]] = {
     }.items()
 }
 
-def _sym3_sweep(values: list[int], chunk: int = 1 << 17) -> dict[str, RationalMatrix]:
+# entry (i, j) of a symmetric 3x3 matrix, row-major, as a digit of (d1, d2, d3, u12, u13, u23)
+_SYM3_DIGIT = [0, 3, 4, 3, 1, 5, 4, 5, 2]
+
+
+def _sym3_sweep(values: list[int]) -> dict[str, RationalMatrix]:
     """Sepr-sequences of all symmetric 3x3 matrices with entries from `values`.
 
-    Vectorized over (d1, d2, d3, u12, u13, u23); returns one witness each.
+    The exhaustive digit stream over (d1, d2, d3, u12, u13, u23) runs through
+    the batched sweep of the all-+ 3x3 pattern; returns one witness each,
+    the first in stream order.
     """
     vals = np.array(values, dtype=np.int64)
-    g = len(vals)
-    total = g**6
-    found: dict[int, tuple[int, ...]] = {}
-    for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        digits = np.empty((len(idx), 6), dtype=np.int64)
-        rem = idx
-        for t in range(6):
-            digits[:, t] = rem % g
-            rem = rem // g
-        d1, d2, d3, u12, u13, u23 = (vals[digits[:, t]] for t in range(6))
-        m12 = d1 * d2 - u12 * u12
-        m13 = d1 * d3 - u13 * u13
-        m23 = d2 * d3 - u23 * u23
-        det = (d1 * d2 * d3 + 2 * u12 * u13 * u23
-               - d1 * u23 * u23 - d2 * u13 * u13 - d3 * u12 * u12)
-        def bits(arr):
-            return np.where(arr > 0, 1, np.where(arr < 0, 2, 4))
-        s1 = bits(d1) | bits(d2) | bits(d3)
-        s2 = bits(m12) | bits(m13) | bits(m23)
-        s3 = bits(det)
-        code = (_SYMBOL_LUT[s1] * 7 + _SYMBOL_LUT[s2]) * 7 + _SYMBOL_LUT[s3]
-        uniq, first = np.unique(code, return_index=True)
-        for c, fi in zip(uniq.tolist(), first.tolist()):
-            if c not in found:
-                found[c] = tuple(int(x) for x in digits[fi])
-    out = {}
-    for code, dg in found.items():
-        seq = _sequence_from_code(code, 3)
-        d1, d2, d3, u12, u13, u23 = (values[t] for t in dg)
-        M = RationalMatrix.from_rows(
-            [[d1, u12, u13], [u12, d2, u23], [u13, u23, d3]]
-        )
-        out[str(seq)] = M
-    return out
+    plan = _sweep_plan(SignPattern.from_rows([[1] * 3] * 3))
+    found: dict[int, np.ndarray] = {}
+    for digits in _digit_batches(len(vals), 6, len(vals) ** 6, 0, 0):
+        codes = _slice_codes(plan, vals[digits[:, _SYM3_DIGIT]].T)
+        for c, fi in zip(*np.unique(codes, return_index=True)):
+            found.setdefault(int(c), digits[fi])
+    return {str(_sequence_from_code(c, 3)):
+            RationalMatrix.from_rows([[values[dg[t]] for t in _SYM3_DIGIT[3 * i:3 * i + 3]]
+                                      for i in range(3)])
+            for c, dg in found.items()}
 
 
 def verify_order3_nonneg_catalog() -> VerificationReport:

@@ -3,8 +3,11 @@
 A sign pattern is a square grid over {+, -, 0}.  Its determinant is the
 standard permutation expansion evaluated in sign arithmetic: the result
 is +, -, 0, or ambiguous (both a positive and a negative term occur).
-Index sets are bitmasks; the bigraph view ties nonzero determinant terms
-to perfect matchings.
+One memoized Laplace recursion, _term_signs, gives the term signs of any
+minor; it also fills the table of all principal subpatterns from one memo
+and guides the walk to the first term of each sign.  Index sets are
+bitmasks; the bigraph view ties nonzero determinant terms to perfect
+matchings.
 """
 from __future__ import annotations
 
@@ -15,7 +18,8 @@ from typing import Iterable, Iterator, Sequence
 from .signs import AmbSign, Sign
 
 DET_ORDER_GUARD = 16
-_TERM_SIGN = (Sign.PLUS, Sign.MINUS)  # by "term is negative"
+_DET_VALUE = (AmbSign.ZERO, AmbSign.PLUS, AmbSign.MINUS, AmbSign.AMBIGUOUS)  # by term signs
+_TERM_BITS = (0, 1, 2)  # term signs of a 1 x 1 minor, by entry: 0, + or - (index -1)
 
 
 class PatternParseError(ValueError):
@@ -51,7 +55,7 @@ def mask_indices(mask: int) -> tuple[int, ...]:
 
 
 def subsets_of_size(n: int, k: int) -> Iterator[int]:
-    """All k-subsets of {0..n-1} as bitmasks, in increasing numeric order."""
+    """All k-subsets of {0..n-1} as bitmasks, in lexicographic order of their indices."""
     for combo in combinations(range(n), k):
         yield mask_from(combo)
 
@@ -216,22 +220,50 @@ class DetSummary:
     term_count_bound: int
 
     @classmethod
-    def from_terms(cls, terms: dict[Sign, list[int]]) -> "DetSummary":
-        """Summary of the first term of each sign found by `_first_terms`."""
-        has_pos, has_neg = Sign.PLUS in terms, Sign.MINUS in terms
-        if has_pos and has_neg:
-            v = AmbSign.AMBIGUOUS
-        elif has_pos:
-            v = AmbSign.PLUS
-        elif has_neg:
-            v = AmbSign.MINUS
-        else:
-            v = AmbSign.ZERO
-        return cls(v, has_pos, has_neg, len(terms))
+    def from_signs(cls, signs: int) -> "DetSummary":
+        """Summary of the term-sign bits of `_term_signs`."""
+        return cls(_DET_VALUE[signs], bool(signs & 1), bool(signs & 2), signs.bit_count())
 
     @property
     def has_term(self) -> bool:
         return self.has_positive_term or self.has_negative_term
+
+
+def _term_signs(rows: Sequence[Sequence[Sign]], memo: dict, R: int, C: int) -> int:
+    """Term signs of det P[R, C], for row and column masks of equal size:
+    bit 1 a positive term, bit 2 a negative one.
+
+    Laplace expansion along row r = min R: the term through column c is the
+    entry times det P[R - r, C - c], negated when the entry is negative or c
+    sits at an odd position in C, and negating swaps the two bits.  Each
+    (R, C) is expanded once through `memo`; an expansion stops once both
+    signs have occurred.
+    """
+    if not R & (R - 1):
+        if not R:
+            return 1  # the empty determinant is +1
+        return _TERM_BITS[rows[R.bit_length() - 1][C.bit_length() - 1]]
+    key = C << len(rows) | R  # (R, C) as one int, half the memory of a tuple
+    out = memo.get(key)
+    if out is not None:
+        return out
+    low = R & -R
+    row = rows[low.bit_length() - 1]
+    R ^= low
+    out = 0
+    odd = False
+    c = C
+    while c:
+        b = c & -c
+        c ^= b
+        e = row[b.bit_length() - 1]
+        if e is not Sign.ZERO and (s := _term_signs(rows, memo, R, C ^ b)):
+            out |= (s & 1) << 1 | s >> 1 if (e is Sign.MINUS) ^ odd else s
+            if out == 3:
+                break
+        odd = not odd
+    memo[key] = out
+    return out
 
 
 def _first_terms(
@@ -242,78 +274,50 @@ def _first_terms(
     """First nonzero permutation term of each sign of det P[row_idx, col_idx].
 
     Maps each term sign that occurs to the lexicographically first term of
-    that sign, given as the position in `col_idx` picked in each row.
-    Depth-first over partial terms, columns in ascending order.  The
-    completions of a partial term depend only on its (used-column mask,
-    running sign) state, so each state is expanded once: at most 2 * 2**k
-    states.  Once a state is expanded, every sign it can reach has been
-    found, so a later prefix reaching it is skipped.  The search stops when
-    both signs have occurred.
+    that sign, given as the position in `col_idx` picked in each row (both
+    index sequences ascend).  A greedy walk over the rows: each takes the
+    first free column whose remaining minor, read from the `_term_signs`
+    memo, still has a term of the sign the running product needs.
     """
-    k = len(row_idx)
-    if k == 0:
-        return {Sign.PLUS: []}  # empty determinant is +1 by convention
-    last = rows[row_idx[-1]]
-    if k == 1:
-        e = last[col_idx[0]]
-        return {} if e is Sign.ZERO else {_TERM_SIGN[e is Sign.MINUS]: [0]}
-    # per row but the last, the (position, entry is negative) candidates in
-    # descending order, so that ascending positions pop first; row k - 2
-    # completes the last row in place and so runs ascending
-    rev = tuple(enumerate(col_idx))[::-1]
-    cand = [[(pos, e is Sign.MINUS) for pos, j in rev if (e := r[j]) is not Sign.ZERO]
-            for r in map(rows.__getitem__, row_idx[:-1])]
-    cand[-1].reverse()
-    top = k - 1
-    full = (1 << k) - 1
+    memo: dict = {}
+    R, C = mask_from(row_idx), mask_from(col_idx)
     found: dict[Sign, list[int]] = {}
-    seen = set()
-    path = [0] * (k + 1)  # path[d] is the position picked in row d - 1
-    stack = [(0, 0, False, 0)]  # (rows placed, used-column mask, term is negative, pick)
-    while stack:
-        depth, used, neg, pick = stack.pop()
-        path[depth] = pick
-        if depth < top - 1:
-            for pos, e in cand[depth]:
-                bit = 1 << pos
-                if used & bit:
-                    continue
-                # parity update: inversions added by placing column `pos` now
-                t = neg ^ e ^ ((used >> (pos + 1)).bit_count() & 1)
-                key = (used | bit) << 1 | t
-                if key not in seen:
-                    seen.add(key)
-                    stack.append((depth + 1, used | bit, t, pos))
+    signs = _term_signs(rows, memo, R, C)
+    for bit, sign in ((1, Sign.PLUS), (2, Sign.MINUS)):
+        if not signs & bit:
             continue
-        for pos, e in cand[depth]:
-            bit = 1 << pos
-            if used & bit:
-                continue
-            # the last row takes the one free column q, after top - q larger ones
-            q = (full ^ used ^ bit).bit_length() - 1
-            f = last[col_idx[q]]
-            if f is Sign.ZERO:
-                continue
-            inv = (used >> (pos + 1)).bit_count() + top - q
-            s = _TERM_SIGN[neg ^ e ^ (f is Sign.MINUS) ^ (inv & 1)]
-            if s not in found:
-                path[top] = pos
-                path[k] = q
-                found[s] = path[1:]
-                if len(found) == 2:
-                    return found
+        picks, r, c, need = [], R, C, bit
+        for i in row_idx:
+            r ^= 1 << i
+            odd = False
+            rest = c
+            while rest:  # a term of sign `need` exists, so some column takes it
+                b = rest & -rest
+                rest ^= b
+                e = rows[i][b.bit_length() - 1]
+                if e is not Sign.ZERO:
+                    sub = 3 ^ need if (e is Sign.MINUS) ^ odd else need
+                    if _term_signs(rows, memo, r, c ^ b) & sub:
+                        break
+                odd = not odd
+            else:
+                raise RuntimeError("no column continues a term the memo says exists")
+            picks.append((C & (b - 1)).bit_count())
+            c ^= b
+            need = sub
+        found[sign] = picks
     return found
 
 
 def signed_det_masked(P: SignPattern, rows_mask: int, cols_mask: int | None = None) -> DetSummary:
     """Signed determinant of P[rows_mask, cols_mask] without building the subpattern."""
-    ridx = mask_indices(rows_mask)
-    cidx = ridx if cols_mask is None else mask_indices(cols_mask)
-    if len(ridx) != len(cidx):
+    cols_mask = rows_mask if cols_mask is None else cols_mask
+    k = rows_mask.bit_count()
+    if k != cols_mask.bit_count():
         raise ValueError("determinant needs equal-size row and column sets")
-    if len(ridx) > DET_ORDER_GUARD:
+    if k > DET_ORDER_GUARD:
         raise OrderGuardError(f"signed determinant limited to order {DET_ORDER_GUARD}")
-    return DetSummary.from_terms(_first_terms(P.rows, ridx, cidx))
+    return DetSummary.from_signs(_term_signs(P.rows, {}, rows_mask, cols_mask))
 
 
 def signed_det(P: SignPattern) -> DetSummary:
@@ -323,7 +327,20 @@ def signed_det(P: SignPattern) -> DetSummary:
     n = P.n
     if n > DET_ORDER_GUARD:
         raise OrderGuardError(f"signed determinant limited to order {DET_ORDER_GUARD}")
-    return DetSummary.from_terms(_first_terms(P.rows, range(n), range(n)))
+    return DetSummary.from_signs(_term_signs(P.rows, {}, full_mask(n), full_mask(n)))
+
+
+def principal_term_signs(P: SignPattern) -> list[int]:
+    """Term signs of every principal minor, indexed by mask: bit 1 a
+    positive term, bit 2 a negative one (0: no term, 3: ambiguous).
+
+    All 2**n masks share one `_term_signs` memo.
+    """
+    n = P.n
+    if n > DET_ORDER_GUARD:
+        raise OrderGuardError(f"signed determinant limited to order {DET_ORDER_GUARD}")
+    memo: dict = {}
+    return [_term_signs(P.rows, memo, m, m) for m in range(1 << n)]
 
 
 def is_ambiguous(P: SignPattern) -> bool:

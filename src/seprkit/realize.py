@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, islice
 from math import factorial, isqrt, lcm
 from operator import add, mul, or_
 from typing import Iterator, Optional, Sequence
@@ -41,6 +41,7 @@ from .pattern import (
     SignPattern,
     _first_terms,
     mask_indices,
+    principal_term_signs,
     signed_det_masked,
     subsets_of_size,
 )
@@ -636,23 +637,16 @@ def distinct_sepr_search(P: SignPattern, budget: int = 4000, seed: int = 0,
 
     def candidates() -> Iterator[RationalMatrix]:
         yield ones_realization(P)
-        shown = 0
-        for k in range(2, n + 1):
-            for mask in subsets_of_size(n, k):
-                if signed_det_masked(P, mask).value is not AmbSign.AMBIGUOUS:
-                    continue
-                for target in (Sign.PLUS, Sign.MINUS):
-                    B = dominated_realization(P, mask, target)
-                    if B is not None:
-                        yield B
-                z = zero_minor_realization(P, mask)
-                if z is not None:
-                    yield z
-                shown += 1
-                if shown >= 24:
-                    break
-            if shown >= 24:
-                break
+        signs = principal_term_signs(P)
+        ambiguous = (m for k in range(2, n + 1) for m in subsets_of_size(n, k) if signs[m] == 3)
+        for mask in islice(ambiguous, 24):
+            for target in (Sign.PLUS, Sign.MINUS):
+                B = dominated_realization(P, mask, target)
+                if B is not None:
+                    yield B
+            z = zero_minor_realization(P, mask)
+            if z is not None:
+                yield z
         if n <= ALLNONZERO_ORDER_GUARD:
             yield allnonzero_realization(P)
         yield from grid_realizations(P, grid, budget, seed)

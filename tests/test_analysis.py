@@ -1,12 +1,15 @@
 """Analysis layer: fixed terms, uniqueness, estimates, predictions, filters."""
 import random
+from time import perf_counter
 
 import pytest
 
+from seprkit import analysis, pattern
 from seprkit.analysis import (
     OPEN_INITIAL_PAIRS,
     TEN_INITIAL_PAIRS,
     TermStatus,
+    TermVerdict,
     UniqueStatus,
     add_cycle_witness,
     check_semistable_laws,
@@ -29,7 +32,14 @@ from seprkit.digraph import (
     path_pattern,
     star_pattern,
 )
-from seprkit.pattern import SignPattern, mask_from, parse_pattern, signed_det
+from seprkit.pattern import (
+    SignPattern,
+    mask_from,
+    parse_pattern,
+    signed_det,
+    signed_det_masked,
+    subsets_of_size,
+)
 from seprkit.realize import MagnitudeGrid, grid_realizations, sepr_of_matrix
 from seprkit.signs import AmbSign, SeprSymbol, Sign, parse_sequence
 
@@ -145,6 +155,93 @@ def test_a_persistence_without_ambiguity():
         for a, b in zip(seq, seq[1:]):
             if a in afam:
                 assert b in afam, P.to_text()
+
+
+_SIGN_BIT = {AmbSign.PLUS: 1, AmbSign.MINUS: 2, AmbSign.ZERO: 4}
+
+
+def _fixed_term_by_masks(P, k):
+    """Reference: the k-th verdict from one signed determinant per k x k
+    principal subpattern, each computed afresh."""
+    present = 0
+    witness = {1: None, 2: None, 4: None}
+    ambiguous = []
+    for mask in subsets_of_size(P.n, k):
+        d = signed_det_masked(P, mask)
+        if d.value is AmbSign.AMBIGUOUS:
+            ambiguous.append(mask)
+            continue
+        bit = _SIGN_BIT[d.value]
+        present |= bit
+        if witness[bit] is None:
+            witness[bit] = mask
+    if not ambiguous:
+        return TermVerdict(k, TermStatus.FIXED_BY_SIGNED_DETS, SeprSymbol.from_sign_mask(present))
+    if present == 7:
+        return TermVerdict(k, TermStatus.FIXED_SSTAR_BY_WITNESSES, SeprSymbol.SST,
+                           (witness[1], witness[2], witness[4]), tuple(ambiguous))
+    return TermVerdict(k, TermStatus.UNKNOWN, None, None, tuple(ambiguous))
+
+
+def _upper_sets_by_masks(P):
+    """Reference: position_upper_sets from one signed determinant per mask."""
+    out = []
+    for k in range(1, P.n + 1):
+        reachable = {0}
+        for mask in subsets_of_size(P.n, k):
+            d = signed_det_masked(P, mask)
+            bits = (1, 2, 4) if d.value is AmbSign.AMBIGUOUS else (_SIGN_BIT[d.value],)
+            reachable = {u | b for u in reachable for b in bits}
+        out.append(frozenset(SeprSymbol.from_sign_mask(u) for u in reachable))
+    return tuple(out)
+
+
+def test_term_verdicts_equal_per_mask_reference():
+    # one term-sign table per pattern gives the verdicts, witnesses, ambiguous
+    # masks and upper sets of the per-mask loop
+    rng = random.Random(85)
+    statuses = set()
+    ambiguous = 0
+    for case in range(320):
+        n = case % 7 + 1
+        P = rand_pattern(rng, n, zero_weight=rng.choice((0, 1, 2, 4)))
+        verdicts = term_verdicts(P)
+        assert verdicts == tuple(_fixed_term_by_masks(P, k) for k in range(1, n + 1)), P.to_text()
+        assert all(fixed_term(P, v.k) == v for v in verdicts)
+        assert position_upper_sets(P) == _upper_sets_by_masks(P), P.to_text()
+        statuses |= {v.status for v in verdicts}
+        ambiguous += sum(len(v.ambiguous_masks) for v in verdicts)
+    assert statuses == set(TermStatus)
+    assert ambiguous >= 4000
+
+
+def test_term_verdicts_guard_budget(monkeypatch):
+    # at order 14, all-+ families whose table cannot stop early (no
+    # principal minor has both signs, or half of them have no term) each
+    # finish well inside the ceiling; the table they read agrees with
+    # signed_det_masked on the full mask and on 200 seeded masks
+    n, ceiling_s = 14, 10.0
+    families = {
+        "zero column": [[0] + [1] * (n - 1) for _ in range(n)],
+        "zero last row": [[1] * n for _ in range(n - 1)] + [[0] * n],
+        "upper triangular": [[int(j >= i) for j in range(n)] for i in range(n)],
+        "strictly upper triangular": [[int(j > i) for j in range(n)] for i in range(n)],
+    }
+    tables = []
+    monkeypatch.setattr(analysis, "principal_term_signs",
+                        lambda P: tables.append(pattern.principal_term_signs(P)) or tables[-1])
+    rng = random.Random(86)
+    for name, rows in families.items():
+        P = SignPattern.from_rows(rows)
+        t0 = perf_counter()
+        verdicts = term_verdicts(P)
+        elapsed = perf_counter() - t0
+        assert elapsed < ceiling_s, (name, elapsed)
+        assert len(verdicts) == n and verdicts[0].fixed, name
+        table = tables.pop()
+        for mask in [(1 << n) - 1] + [rng.randrange(1 << n) for _ in range(200)]:
+            d = signed_det_masked(P, mask)
+            assert table[mask] == d.has_positive_term | d.has_negative_term << 1, (name, mask)
 
 
 # -- sepr-set estimates -----------------------------------------------------

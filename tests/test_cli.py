@@ -152,6 +152,22 @@ def test_budget_must_be_positive(capsys, tmp_path):
     assert code == 2 and "--budget" in err
 
 
+def test_seed_must_be_a_philox_key(capsys, tmp_path):
+    # the sampled sweep keys numpy's Philox generator by the seed: [0, 2**128)
+    p = tmp_path / "p.txt"
+    p.write_text("++0\n--+\n0++\n")
+    for seed in ("-1", str(2**128), "x"):
+        code, out, err = run(capsys, "seprset", "--pattern", str(p), "--seed", seed,
+                             "--budget", "5")
+        assert code == 2 and out == "" and "error: argument --seed" in err
+    for argv in (["check-unique", "--pattern", str(p)], ["verify-paper"]):
+        code, out, err = run(capsys, *argv, "--seed", "-1")
+        assert code == 2 and out == "" and "error: argument --seed" in err
+    code, out, _ = run(capsys, "seprset", "--pattern", str(p), "--seed", str(2**128 - 1),
+                       "--budget", "5")
+    assert code == 0 and out.startswith("sequences: ")
+
+
 def test_guard_and_realization_errors_exit_2(capsys, tmp_path, monkeypatch):
     p = tmp_path / "p.txt"
     p.write_text("\n".join(["+" * 15] * 15) + "\n")

@@ -1,4 +1,5 @@
 """Family enumeration and the verification harness building blocks."""
+import numpy as np
 import pytest
 
 from seprkit.analysis import fixed_sequence
@@ -18,6 +19,7 @@ from seprkit.enumeration import (
     verify_symmetric_nonneg_unique,
     verify_unique_iff_determined,
 )
+from seprkit.realize import MagnitudeGrid, RationalMatrix, _SYMBOL_LUT, _sequence_from_code
 from seprkit.signs import Sign
 
 
@@ -88,6 +90,56 @@ def test_sym3_sweep_small():
         from seprkit.realize import sepr_of_matrix
 
         assert str(sepr_of_matrix(M)) == seq
+
+
+def _sym3_kernel(values, chunk=1 << 17):
+    """Reference: the hand-written symmetric 3x3 sweep, with closed-form
+    minors over the digit stream (d1, d2, d3, u12, u13, u23)."""
+    vals = np.array(values, dtype=np.int64)
+    g = len(vals)
+    total = g**6
+    found = {}
+    for start in range(0, total, chunk):
+        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
+        digits = np.empty((len(idx), 6), dtype=np.int64)
+        rem = idx
+        for t in range(6):
+            digits[:, t] = rem % g
+            rem = rem // g
+        d1, d2, d3, u12, u13, u23 = (vals[digits[:, t]] for t in range(6))
+        m12 = d1 * d2 - u12 * u12
+        m13 = d1 * d3 - u13 * u13
+        m23 = d2 * d3 - u23 * u23
+        det = (d1 * d2 * d3 + 2 * u12 * u13 * u23
+               - d1 * u23 * u23 - d2 * u13 * u13 - d3 * u12 * u12)
+
+        def bits(arr):
+            return np.where(arr > 0, 1, np.where(arr < 0, 2, 4))
+
+        s1 = bits(d1) | bits(d2) | bits(d3)
+        s2 = bits(m12) | bits(m13) | bits(m23)
+        s3 = bits(det)
+        code = (_SYMBOL_LUT[s1] * 7 + _SYMBOL_LUT[s2]) * 7 + _SYMBOL_LUT[s3]
+        uniq, first = np.unique(code, return_index=True)
+        for c, fi in zip(uniq.tolist(), first.tolist()):
+            if c not in found:
+                found[c] = tuple(int(x) for x in digits[fi])
+    out = {}
+    for code, dg in found.items():
+        d1, d2, d3, u12, u13, u23 = (values[t] for t in dg)
+        out[str(_sequence_from_code(code, 3))] = RationalMatrix.from_rows(
+            [[d1, u12, u13], [u12, d2, u23], [u13, u23, d3]])
+    return out
+
+
+def test_sym3_sweep_equals_hand_written_kernel():
+    # the batched sweep of the all-+ 3x3 pattern finds the same sequences
+    # and the same first witnesses as the closed-form kernel
+    for values in (list(range(7)), [0, 1], [0] + list(MagnitudeGrid.default().int_scaled())):
+        got, want = _sym3_sweep(values), _sym3_kernel(values)
+        assert set(got) == set(want) and len(got) >= 14, values
+        assert {s: M.to_text() for s, M in got.items()} == \
+            {s: M.to_text() for s, M in want.items()}, values
 
 
 def test_symbol_algebra_report():

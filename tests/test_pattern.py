@@ -17,6 +17,7 @@ from seprkit.pattern import (
     mask_from,
     mask_indices,
     parse_pattern,
+    principal_term_signs,
     signed_det,
     signed_det_masked,
     subpattern,
@@ -124,6 +125,7 @@ def _expansion_signs(P, ridx, cidx):
 
 
 def test_signed_det_matches_permutation_expansion():
+    # and the one-memo principal table agrees on every principal mask
     rng = random.Random(15)
     kinds = set()
     for n in range(1, 8):
@@ -143,6 +145,12 @@ def test_signed_det_matches_permutation_expansion():
                     assert (d.has_positive_term, d.has_negative_term) == want, (P.to_text(), rm, cm)
                     assert d.term_count_bound == sum(want)
                     kinds.add((rm.bit_count(), cm is None or cm == rm))
+                table = principal_term_signs(P)
+                assert len(table) == 1 << n
+                for mask, signs in enumerate(table):
+                    idx = mask_indices(mask)
+                    want = _expansion_signs(P, idx, idx)
+                    assert signs == want[0] | want[1] << 1, (P.to_text(), mask)
     # every index-set size 0..7 occurs principal, and every size 1..6 not
     assert {k for k, principal in kinds if principal} == set(range(8))
     assert {k for k, principal in kinds if not principal} == set(range(1, 7))
