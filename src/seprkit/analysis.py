@@ -21,7 +21,14 @@ from .digraph import (
     matching_number,
     simplify,
 )
-from .pattern import SignPattern, principal_term_signs, subsets_of_size
+from .pattern import (
+    DET_ORDER_GUARD,
+    OrderGuardError,
+    SignPattern,
+    _term_signs,
+    principal_term_signs,
+    subsets_of_size,
+)
 from .realize import (
     ALLNONZERO_ORDER_GUARD,
     MagnitudeGrid,
@@ -62,44 +69,49 @@ class TermVerdict:
         return self.status is not TermStatus.UNKNOWN
 
 
-def term_verdicts(P: SignPattern) -> tuple[TermVerdict, ...]:
-    """Decide each term from the signed determinants of the principal
-    subpatterns of its order, all read from one term-sign table.
+def _term_verdict(n: int, k: int, signs) -> TermVerdict:
+    """Decide term k from the term signs of the order-k principal minors,
+    `signs[mask]` as `principal_term_signs` gives them.
 
     All subpatterns signed: the symbol is read off the sign multiset.
     Otherwise the term is still forced to S* when +, -, 0 all occur among
     the signed ones; with ambiguity present and witnesses missing the term
     is unknown.
     """
+    present = 0
+    witness: dict[int, int] = {}  # sign bit -> first mask with that det
+    ambiguous = []
+    for mask in subsets_of_size(n, k):
+        bit = signs[mask] or 4  # 1 +, 2 -, 3 ambiguous, 4 zero (no term)
+        if bit == 3:
+            ambiguous.append(mask)
+            continue
+        present |= bit
+        witness.setdefault(bit, mask)
+    if not ambiguous:
+        return TermVerdict(k, TermStatus.FIXED_BY_SIGNED_DETS, SeprSymbol.from_sign_mask(present))
+    if present == 7:
+        return TermVerdict(k, TermStatus.FIXED_SSTAR_BY_WITNESSES, SeprSymbol.SST,
+                           (witness[1], witness[2], witness[4]), tuple(ambiguous))
+    return TermVerdict(k, TermStatus.UNKNOWN, None, None, tuple(ambiguous))
+
+
+def term_verdicts(P: SignPattern) -> tuple[TermVerdict, ...]:
+    """Every term's verdict, all read from one principal term-sign table."""
     signs = principal_term_signs(P)
-    out = []
-    for k in range(1, P.n + 1):
-        present = 0
-        witness: dict[int, int] = {}  # sign bit -> first mask with that det
-        ambiguous = []
-        for mask in subsets_of_size(P.n, k):
-            bit = signs[mask] or 4  # 1 +, 2 -, 3 ambiguous, 4 zero (no term)
-            if bit == 3:
-                ambiguous.append(mask)
-                continue
-            present |= bit
-            witness.setdefault(bit, mask)
-        if not ambiguous:
-            out.append(TermVerdict(k, TermStatus.FIXED_BY_SIGNED_DETS,
-                                   SeprSymbol.from_sign_mask(present)))
-        elif present == 7:
-            out.append(TermVerdict(k, TermStatus.FIXED_SSTAR_BY_WITNESSES, SeprSymbol.SST,
-                                   (witness[1], witness[2], witness[4]), tuple(ambiguous)))
-        else:
-            out.append(TermVerdict(k, TermStatus.UNKNOWN, None, None, tuple(ambiguous)))
-    return tuple(out)
+    return tuple(_term_verdict(P.n, k, signs) for k in range(1, P.n + 1))
 
 
 def fixed_term(P: SignPattern, k: int) -> TermVerdict:
-    """The k-th of `term_verdicts`."""
-    if not 1 <= k <= P.n:
-        raise ValueError(f"k must lie in 1..{P.n}")
-    return term_verdicts(P)[k - 1]
+    """The k-th of `term_verdicts`, reading only the order-k principal minors
+    through one `_term_signs` memo."""
+    n = P.n
+    if not 1 <= k <= n:
+        raise ValueError(f"k must lie in 1..{n}")
+    if n > DET_ORDER_GUARD:
+        raise OrderGuardError(f"signed determinant limited to order {DET_ORDER_GUARD}")
+    memo: dict = {}
+    return _term_verdict(n, k, {m: _term_signs(P.rows, memo, m, m) for m in subsets_of_size(n, k)})
 
 
 def fixed_sequence(P: SignPattern) -> Optional[SeprSequence]:
@@ -147,7 +159,8 @@ def unique_verdict(P: SignPattern, search_budget: int = 4000,
     if all(v.fixed for v in verdicts):
         seq = SeprSequence(tuple(v.symbol for v in verdicts))
         return UniqueVerdict(UniqueStatus.UNIQUE_BY_FIXED_TERMS, seq, verdicts)
-    found = distinct_sepr_search(P, budget=search_budget, seed=seed, grid=grid)
+    found = distinct_sepr_search(P, [m for v in verdicts for m in v.ambiguous_masks],
+                                 budget=search_budget, seed=seed, grid=grid)
     if found is not None:
         return UniqueVerdict(UniqueStatus.NOT_UNIQUE, None, verdicts, found)
     if P.n <= 4:

@@ -216,8 +216,7 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_verify_paper(args) -> int:
-    reports = run_all_verifications(full=args.full_sweep, threads=args.threads,
-                                    seed=args.seed, budget=args.budget)
+    reports = run_all_verifications(seed=args.seed, budget=args.budget)
     if args.json:
         print(json.dumps([r.to_json() for r in reports], sort_keys=True, indent=2))
     else:
@@ -353,11 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(fn=_cmd_check_sequence)
 
-    p = sub.add_parser("verify-paper", help="run the full verification harness")
-    p.add_argument("--full-sweep", action="store_true",
-                   help="exhaustive order-4 sweep (3^16 patterns; slow)")
-    p.add_argument("--threads", type=int, default=1, metavar="N",
-                   help="worker processes for the full sweep (0 = auto)")
+    p = sub.add_parser("verify-paper", help="run every verification check")
     p.add_argument("--budget", type=_positive_int, default=10**6)
     p.add_argument("--seed", type=_seed, default=0)
     _add_common(p)

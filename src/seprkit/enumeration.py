@@ -3,15 +3,17 @@
 The harness re-derives, by exhaustive enumeration and exact search, the
 small-order classification results the analysis layer relies on: the
 order-3 symmetric nonnegative sequence catalog, the equivalence between
-all-terms-fixed and sepr-set uniqueness at orders <= 4, the symmetric
-nonnegative unique-sequence classification, and the semi-stable suite.
+all-terms-fixed and sepr-set uniqueness over every pattern of orders 2..4
+(one per orbit of the sign-pattern invariances, orbit_representatives),
+the symmetric nonnegative unique-sequence classification, and the
+semi-stable suite.
 """
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 from math import comb
 from typing import Iterable, Iterator, Optional
 
@@ -155,6 +157,22 @@ def simplified_semistable_patterns(n: int) -> Iterator[SignPattern]:
                 yield SignPattern(tuple(tuple(r) for r in rows))
 
 
+def _satisfies(P: SignPattern, constraints: frozenset[str]) -> bool:
+    """P meets the alphabet constraints (semi-stable and irreducible are ignored)."""
+    n = P.n
+    if "symmetric" in constraints and not P.is_symmetric():
+        return False
+    if "nonnegative" in constraints and not P.is_nonnegative():
+        return False
+    if "zero-diagonal" in constraints and not P.has_zero_diagonal():
+        return False
+    if "full-off-diagonal" in constraints and any(
+        P.rows[i][j] is Sign.ZERO for i in range(n) for j in range(n) if i != j
+    ):
+        return False
+    return True
+
+
 def enumerate_patterns(fam: PatternFamily, budget: int = 10**7) -> Iterator[SignPattern]:
     """Deterministic, duplicate-free stream of the family's patterns.
 
@@ -167,22 +185,7 @@ def enumerate_patterns(fam: PatternFamily, budget: int = 10**7) -> Iterator[Sign
     n = fam.order
     if "semi-stable" in c:
         stream: Iterable[SignPattern] = simplified_semistable_patterns(n)
-        rest = c - {"semi-stable", "irreducible"}
-
-        def keep(P: SignPattern) -> bool:
-            if "symmetric" in rest and not P.is_symmetric():
-                return False
-            if "nonnegative" in rest and not P.is_nonnegative():
-                return False
-            if "zero-diagonal" in rest and not P.has_zero_diagonal():
-                return False
-            if "full-off-diagonal" in rest and any(
-                P.rows[i][j] is Sign.ZERO for i in range(n) for j in range(n) if i != j
-            ):
-                return False
-            return True
-
-        stream = (P for P in stream if keep(P))
+        stream = (P for P in stream if _satisfies(P, c))
     else:
         positions, alphabets = _alphabets(fam)
         size = 1
@@ -201,16 +204,67 @@ def enumerate_patterns(fam: PatternFamily, budget: int = 10**7) -> Iterator[Sign
 
 
 def _pattern_from_index(n: int, idx: int) -> SignPattern:
-    digits_to_sign = (Sign.ZERO, Sign.PLUS, Sign.MINUS)
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            rows_idx = idx % 3
-            idx //= 3
-            row.append(digits_to_sign[rows_idx])
-        rows.append(tuple(row))
-    return SignPattern(tuple(rows))
+    """The pattern coded row-major in base 3: entry (0, 0) is the lowest
+    digit, and digits 0, 1, 2 are 0, +, -."""
+    signs = [(Sign.ZERO, Sign.PLUS, Sign.MINUS)[idx // 3**t % 3] for t in range(n * n)]
+    return SignPattern(tuple(tuple(signs[i * n:i * n + n]) for i in range(n)))
+
+
+def _orbit_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Image of a pattern code under each g: low[g, code % 3**h] +
+    high[g, code // 3**h], h = n*n // 2 (codes as in _pattern_from_index).
+
+    g = (signature d with d_0 = 1, transpose t, sign e, permutation p)
+    moves the digit at (i, j) to (p_i, p_j), or (p_j, p_i) when t is set,
+    and swaps + and - when e d_i d_j = -1.  The permutation varies fastest
+    and the first g is negation: in this order the filter drops codes
+    soonest.
+    """
+    cells, h = n * n, n * n // 2
+    values = []  # [g][position][digit] -> that digit's share of the image
+    for d, t, e in product(product((1, -1), repeat=n - 1), (False, True), (-1, 1)):
+        d = (1,) + d
+        for p in permutations(range(n)):
+            values.append([[(x if e * d[i] * d[j] > 0 else -x) % 3
+                            * 3 ** (p[j] * n + p[i] if t else p[i] * n + p[j]) for x in range(3)]
+                           for i in range(n) for j in range(n)])
+    values = np.array(values, dtype=np.int32)
+    halves = []
+    for lo, hi in ((0, h), (h, cells)):
+        table = np.zeros((len(values), 1), dtype=np.int32)
+        for pos in range(lo, hi):  # digit `pos` is the most significant so far
+            table = np.concatenate([table + values[:, pos, x, None] for x in range(3)], axis=1)
+        halves.append(table)
+    return halves[0], halves[1]
+
+
+def orbit_representatives(n: int) -> Iterator[tuple[SignPattern, int]]:
+    """(pattern, orbit size), one per orbit of the n x n patterns under
+    permutation similarity, transpose, negation and signature similarity
+    D P D, a group of order n! * 2 * 2 * 2**(n - 1).
+
+    Fixed terms and witness pairs carry across an orbit: D P D and P^T keep
+    every principal minor, -P multiplies order-k minors by (-1)**k, and g
+    maps a witness pair (B1, B2) of P to (g B1, g B2) of g P.  Orbits: 16,
+    322 and 61,268 at orders 2, 3 and 4.  The representative is the least
+    code in its orbit, found by filtering chunks of 3**12 codes against
+    every image; the orbit size is the group order over the number of g
+    fixing the code.  Past order 4 (3**25 codes) the filter is refused.
+    """
+    if not 1 <= n <= 4:
+        raise EnumerationBudgetExceeded(f"orbit filter covers orders 1..4, not {n}")
+    low, high = _orbit_tables(n)
+    group, split, space = len(low), 3 ** (n * n // 2), 3 ** (n * n)
+    step = min(space, 3**12)
+    for start in range(0, space, step):
+        code = np.arange(start, min(start + step, space), dtype=np.int32)
+        lo, hi = code % split, code // split
+        for lo_g, hi_g in zip(low, high):
+            keep = lo_g[lo] + hi_g[hi] >= code
+            code, lo, hi = code[keep], lo[keep], hi[keep]
+        fixers = sum(lo_g[lo] + hi_g[hi] == code for lo_g, hi_g in zip(low, high))
+        for c, f in zip(code.tolist(), fixers.tolist()):
+            yield _pattern_from_index(n, c), group // f
 
 
 # ---------------------------------------------------------------------------
@@ -394,73 +448,46 @@ def verify_order3_nonneg_catalog() -> VerificationReport:
 # ---------------------------------------------------------------------------
 # check 2: uniqueness <=> all terms fixed (orders <= 4)
 
-def _conjecture_case(P: SignPattern, wit_budget: int, seed: int):
-    """('fixed', seq) | ('witnessed', pair) | ('pending', None) for one pattern."""
-    seq = fixed_sequence(P)
-    if seq is not None:
-        return "fixed", seq
-    from .realize import distinct_sepr_search
-
-    found = distinct_sepr_search(P, budget=wit_budget, seed=seed)
-    if found is not None:
-        return "witnessed", found
-    return "pending", None
+_CASES = {UniqueStatus.UNIQUE_BY_FIXED_TERMS: "fixed", UniqueStatus.NOT_UNIQUE: "witnessed"}
 
 
-def _check_conjecture_stream(patterns: Iterable[SignPattern], failures: list,
-                             counts: dict, wit_budget: int, seed: int,
-                             expect_no_fixed: bool = False, tag: str = "") -> None:
-    fixed = witnessed = 0
-    for P in patterns:
-        case, payload = _conjecture_case(P, wit_budget, seed)
-        if case == "fixed":
-            fixed += 1
-            if expect_no_fixed:
-                failures.append({"tag": tag, "unexpected-fixed": P.to_json()["rows"]})
-            elif sepr_of_matrix(ones_realization(P)) != payload:
-                failures.append({"tag": tag, "fixed-mismatch": P.to_json()["rows"]})
-        elif case == "witnessed":
-            witnessed += 1
-        else:
-            failures.append({"tag": tag, "no-witnesses": P.to_json()["rows"]})
-    counts[f"{tag}fixed"] = fixed
-    counts[f"{tag}witnessed"] = witnessed
+def verify_unique_iff_determined(n: int, wit_budget: int = 600,
+                                 seed: int = 0) -> VerificationReport:
+    """Uniqueness holds exactly when every position is fixed (orders 2..4).
 
-
-def verify_unique_iff_determined(n: int, wit_budget: int = 600, seed: int = 0,
-                                 sample_size: int = 2000,
-                                 full: bool = False, threads: int = 1) -> VerificationReport:
-    """Uniqueness holds exactly when every position is fixed (orders <= 4).
-
-    Orders 2 and 3 run exhaustively.  Order 4 runs the structured
-    subfamilies (zero-diagonal full-off-diagonal, symmetric, semi-stable)
-    plus a seeded sample of the full space; `full` sweeps all 3^16
-    patterns instead (see run_full_order4_sweep for the parallel path).
+    Every pattern is covered: each of orbit_representatives gets one
+    unique_verdict, counted once per pattern of its orbit.  A fixed
+    sequence must match the all-ones realization, and an unfixed pattern
+    needs a witness pair.  At order 4 the zero-diagonal full-off-diagonal
+    (never fixed) and symmetric families, unions of orbits, are tallied by
+    membership, and the semi-stable patterns must match semistable_sequence.
     """
     t0 = time.time()
     if not 2 <= n <= 4:
         return VerificationReport(f"unique-iff-determined-n{n}", "skipped",
                                   "defined for orders 2..4", {}, None, time.time() - t0)
     failures: list[dict] = []
-    counts: dict = {}
-    if n <= 3:
-        fam = PatternFamily(n)
-        counts["patterns"] = family_size(fam)
-        _check_conjecture_stream(enumerate_patterns(fam, budget=10**7), failures,
-                                 counts, wit_budget, seed)
-    elif full:
-        rep = run_full_order4_sweep(wit_budget=wit_budget, seed=seed, threads=threads)
-        rep.runtime_s = time.time() - t0
-        return rep
-    else:
-        zd = PatternFamily(4, frozenset({"zero-diagonal", "full-off-diagonal"}))
-        counts["zero-diag-full-off-patterns"] = family_size(zd)
-        _check_conjecture_stream(enumerate_patterns(zd), failures, counts, wit_budget,
-                                 seed, expect_no_fixed=True, tag="zero-diag-full-off-")
-        sym = PatternFamily(4, frozenset({"symmetric"}))
-        counts["symmetric-patterns"] = family_size(sym)
-        _check_conjecture_stream(enumerate_patterns(sym), failures, counts,
-                                 wit_budget, seed, tag="symmetric-")
+    families = {"": frozenset()}
+    if n == 4:
+        families["zero-diag-full-off-"] = frozenset({"zero-diagonal", "full-off-diagonal"})
+        families["symmetric-"] = frozenset({"symmetric"})
+    counts = {tag + key: 0 for tag in families for key in ("patterns", "fixed", "witnessed")}
+    for P, size in orbit_representatives(n):
+        v = unique_verdict(P, search_budget=wit_budget, seed=seed)
+        tags = [tag for tag, c in families.items() if _satisfies(P, c)]
+        case = _CASES.get(v.status, "pending")
+        for tag in tags:
+            counts[tag + "patterns"] += size
+            counts[tag + case] = counts.get(tag + case, 0) + size
+        if case == "pending":
+            failures.append({"no-witnesses": P.to_json()["rows"]})
+        elif v.unique and "zero-diag-full-off-" in tags:
+            failures.append({"tag": "zero-diag-full-off-", "unexpected-fixed": P.to_json()["rows"]})
+        elif v.unique and sepr_of_matrix(ones_realization(P)) != v.sequence:
+            failures.append({"fixed-mismatch": P.to_json()["rows"]})
+    if counts["patterns"] != 3 ** (n * n):
+        failures.append({"orbit-sizes-sum": counts["patterns"]})
+    if n == 4:
         ss_count = 0
         for P in enumerate_patterns(PatternFamily(4, frozenset({"semi-stable"}))):
             ss_count += 1
@@ -470,49 +497,8 @@ def verify_unique_iff_determined(n: int, wit_budget: int = 600, seed: int = 0,
             elif seq != semistable_sequence(P):
                 failures.append({"tag": "semi-stable", "sequence-mismatch": P.to_json()["rows"]})
         counts["semi-stable-patterns"] = ss_count
-        rng = np.random.Generator(np.random.Philox(key=seed))
-        idxs = rng.integers(0, 3**16, size=sample_size)
-        _check_conjecture_stream((_pattern_from_index(4, int(i)) for i in idxs),
-                                 failures, counts, wit_budget, seed, tag="sampled-")
     return _report(f"unique-iff-determined-n{n}", t0, failures, counts,
                    "all-fixed matched uniqueness everywhere")
-
-
-def _order4_chunk_worker(args) -> tuple[dict, list]:
-    lo, hi, wit_budget, seed = args
-    counts: dict = {}
-    failures: list = []
-    _check_conjecture_stream((_pattern_from_index(4, i) for i in range(lo, hi)),
-                             failures, counts, wit_budget, seed, tag="full-")
-    return counts, failures[:3]
-
-
-def run_full_order4_sweep(wit_budget: int = 600, seed: int = 0,
-                          threads: int = 1) -> VerificationReport:
-    """Opt-in exhaustive order-4 sweep over all 3^16 patterns.
-
-    Expensive (hours single-threaded); chunked across processes when
-    threads != 1.  threads=0 means one worker per CPU.
-    """
-    t0 = time.time()
-    space = 3**16
-    step = 3**9
-    chunks = [(lo, min(lo + step, space), wit_budget, seed) for lo in range(0, space, step)]
-    counts: dict = {"patterns": space}
-    failures: list = []
-    if threads == 1:
-        results = map(_order4_chunk_worker, chunks)
-    else:
-        import multiprocessing as mp
-
-        workers = threads if threads > 0 else None
-        with mp.Pool(workers) as pool:
-            results = pool.map(_order4_chunk_worker, chunks, chunksize=4)
-    for c, f in results:
-        for k, v in c.items():
-            counts[k] = counts.get(k, 0) + v
-        failures.extend(f)
-    return _report("unique-iff-determined-n4-full", t0, failures, counts)
 
 
 # ---------------------------------------------------------------------------
@@ -855,8 +841,7 @@ def verify_seprset_anchors(budget: int = 10**6, seed: int = 0) -> VerificationRe
 # ---------------------------------------------------------------------------
 # aggregate runner
 
-def run_all_verifications(full: bool = False, threads: int = 1, seed: int = 0,
-                          budget: int = 10**6) -> list[VerificationReport]:
+def run_all_verifications(seed: int = 0, budget: int = 10**6) -> list[VerificationReport]:
     reports = [
         verify_symbol_algebra(),
         verify_matrix_anchors(),
@@ -864,7 +849,7 @@ def run_all_verifications(full: bool = False, threads: int = 1, seed: int = 0,
         verify_order3_nonneg_catalog(),
         verify_unique_iff_determined(2, seed=seed),
         verify_unique_iff_determined(3, seed=seed),
-        verify_unique_iff_determined(4, seed=seed, full=full, threads=threads),
+        verify_unique_iff_determined(4, seed=seed),
         verify_symmetric_nonneg_unique(4, seed=seed),
         verify_semistable_suite(5, seed=seed),
     ]

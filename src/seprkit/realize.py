@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, islice
+from itertools import combinations
 from math import factorial, isqrt, lcm
 from operator import add, mul, or_
 from typing import Iterator, Optional, Sequence
@@ -41,7 +41,6 @@ from .pattern import (
     SignPattern,
     _first_terms,
     mask_indices,
-    principal_term_signs,
     signed_det_masked,
     subsets_of_size,
 )
@@ -624,22 +623,23 @@ def zero_minor_realization(P: SignPattern, mask: int) -> Optional[RationalMatrix
     raise RealizationError("sign never flipped walking between dominated realizations")
 
 
-def distinct_sepr_search(P: SignPattern, budget: int = 4000, seed: int = 0,
-                         grid: Optional[MagnitudeGrid] = None,
+def distinct_sepr_search(P: SignPattern, ambiguous_masks: Sequence[int], budget: int = 4000,
+                         seed: int = 0, grid: Optional[MagnitudeGrid] = None,
                          ) -> Optional[tuple[RationalMatrix, SeprSequence, RationalMatrix, SeprSequence]]:
     """Look for two realizations of P with different sepr-sequences.
 
-    Candidates: the all-unit realization, per-ambiguous-minor targeted
-    realizations (dominated +, dominated -, exact zero), the realization
-    with all ambiguous minors nonzero, then grid samples up to the budget.
+    `ambiguous_masks` are the principal masks whose minors have terms of
+    both signs, by order then mask as `term_verdicts` lists them.
+    Candidates: the all-unit realization, targeted realizations for the
+    first 24 ambiguous minors (dominated +, dominated -, exact zero), the
+    realization with all ambiguous minors nonzero, then grid samples up to
+    the budget.
     """
     n = P.n
 
     def candidates() -> Iterator[RationalMatrix]:
         yield ones_realization(P)
-        signs = principal_term_signs(P)
-        ambiguous = (m for k in range(2, n + 1) for m in subsets_of_size(n, k) if signs[m] == 3)
-        for mask in islice(ambiguous, 24):
+        for mask in ambiguous_masks[:24]:
             for target in (Sign.PLUS, Sign.MINUS):
                 B = dominated_realization(P, mask, target)
                 if B is not None:

@@ -101,6 +101,9 @@ def test_criterion_4_uniqueness_condition():
     assert rep4.counts["zero-diag-full-off-fixed"] == 0
     assert rep4.counts["zero-diag-full-off-witnessed"] == 4096
     assert rep4.counts["symmetric-patterns"] == 3**10
+    assert rep4.counts["patterns"] == 3**16
+    assert rep4.counts["fixed"] == 9247761
+    assert rep4.counts["witnessed"] == 33798960
     assert time.time() - t1 < 600.0
     _done(4, t0, f"; n<=3 in {small:.2f}s")
 

@@ -215,6 +215,19 @@ def test_term_verdicts_equal_per_mask_reference():
     assert ambiguous >= 4000
 
 
+def test_fixed_term_guard_budget():
+    # one term reads only its own order's principal minors: the first term
+    # of the order-14 upper-triangular all-+ pattern needs 14 entries, not
+    # the whole 2**14-mask table
+    n = 14
+    P = SignPattern.from_rows([[int(j >= i) for j in range(n)] for i in range(n)])
+    t0 = perf_counter()
+    v = fixed_term(P, 1)
+    elapsed = perf_counter() - t0
+    assert v == TermVerdict(1, TermStatus.FIXED_BY_SIGNED_DETS, SeprSymbol.AP)
+    assert elapsed < 0.1, elapsed
+
+
 def test_term_verdicts_guard_budget(monkeypatch):
     # at order 14, all-+ families whose table cannot stop early (no
     # principal minor has both signs, or half of them have no term) each

@@ -241,3 +241,10 @@ def test_verify_paper_rendering(capsys, monkeypatch):
     assert code == 1
     payload = json.loads(out)
     assert [r["check"] for r in payload] == ["alpha", "beta"]
+
+
+def test_verify_paper_has_no_sweep_options(capsys):
+    # the order-4 check always covers every pattern, in one process
+    for argv in (["--threads", "2"], ["--full-sweep"]):
+        code, out, err = run(capsys, "verify-paper", *argv)
+        assert code == 2 and out == "" and "unrecognized arguments" in err

@@ -1,8 +1,10 @@
 """Family enumeration and the verification harness building blocks."""
+from itertools import permutations, product
+
 import numpy as np
 import pytest
 
-from seprkit.analysis import fixed_sequence
+from seprkit.analysis import UniqueStatus, fixed_sequence, unique_verdict
 from seprkit.digraph import is_irreducible, is_sign_semi_stable, simplify
 from seprkit.enumeration import (
     EnumerationBudgetExceeded,
@@ -12,6 +14,7 @@ from seprkit.enumeration import (
     _sym3_sweep,
     enumerate_patterns,
     family_size,
+    orbit_representatives,
     semistable_sequence,
     simplified_semistable_patterns,
     verify_matrix_anchors,
@@ -19,8 +22,15 @@ from seprkit.enumeration import (
     verify_symmetric_nonneg_unique,
     verify_unique_iff_determined,
 )
-from seprkit.realize import MagnitudeGrid, RationalMatrix, _SYMBOL_LUT, _sequence_from_code
-from seprkit.signs import Sign
+from seprkit.pattern import SignPattern
+from seprkit.realize import (
+    MagnitudeGrid,
+    RationalMatrix,
+    _SYMBOL_LUT,
+    _sequence_from_code,
+    sepr_of_matrix,
+)
+from seprkit.signs import SeprSequence, SeprSymbol, Sign
 
 
 def test_family_sizes():
@@ -191,20 +201,84 @@ def test_known_order4_anchor_digraphs():
         assert str(fixed_sequence(P)) == want
 
 
-def test_order4_chunk_worker_roundtrip():
-    from seprkit.enumeration import _order4_chunk_worker
+# -- orbits of the sign-pattern invariances ---------------------------------
 
-    counts, failures = _order4_chunk_worker((0, 50, 600, 0))
-    assert not failures
-    assert counts["full-fixed"] + counts["full-witnessed"] == 50
+def _group(n):
+    """Each g as (perm, transpose, e, d): M -> e * Pi D M' D Pi^T, M' = M or M^T."""
+    for perm in permutations(range(n)):
+        for transpose in (False, True):
+            for e in (1, -1):
+                for d in product((1, -1), repeat=n - 1):
+                    yield perm, transpose, e, (1,) + d
 
 
-def test_order4_chunk_worker_in_pool():
-    import multiprocessing as mp
+def _act(g, rows):
+    perm, transpose, e, d = g
+    n = len(rows)
+    out = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            out[perm[i]][perm[j]] = e * d[i] * d[j] * (rows[j][i] if transpose else rows[i][j])
+    return out
 
-    from seprkit.enumeration import _order4_chunk_worker
 
-    with mp.Pool(2) as pool:
-        results = pool.map(_order4_chunk_worker, [(0, 30, 600, 0), (30, 60, 600, 0)])
-    total = sum(c["full-fixed"] + c["full-witnessed"] for c, _ in results)
-    assert total == 60 and all(not f for _, f in results)
+def _negate_odd_orders(seq):
+    def neg(t):
+        m = t.sign_mask
+        return SeprSymbol.from_sign_mask(m & 4 | (m & 1) << 1 | (m & 2) >> 1)
+
+    return SeprSequence(tuple(neg(t) if k % 2 == 0 else t for k, t in enumerate(seq.terms)))
+
+
+def test_orbit_sizes_cover_every_pattern():
+    for n, orbits in ((1, 2), (2, 16), (3, 322), (4, 61268)):
+        sizes = [size for _, size in orbit_representatives(n)]
+        assert len(sizes) == orbits and sum(sizes) == 3 ** (n * n), n
+    with pytest.raises(EnumerationBudgetExceeded):
+        next(orbit_representatives(5))
+
+
+def test_orbit_weighted_counts_equal_per_pattern_loop():
+    # reference: one unique_verdict per pattern, as the check ran before it
+    # went through orbit representatives
+    for n in (2, 3):
+        ref = {"patterns": 0, "fixed": 0, "witnessed": 0}
+        for P in enumerate_patterns(PatternFamily(n)):
+            v = unique_verdict(P, search_budget=600, seed=0)
+            assert v.status in (UniqueStatus.UNIQUE_BY_FIXED_TERMS, UniqueStatus.NOT_UNIQUE)
+            ref["patterns"] += 1
+            ref["fixed" if v.unique else "witnessed"] += 1
+        rep = verify_unique_iff_determined(n)
+        assert rep.passed and rep.counts == ref, (n, rep.counts, ref)
+
+
+def test_orbit_maps_carry_sequences_and_witnesses():
+    # every order-3 pattern Q is g P for one representative P; its fixed
+    # sequence is P's (negated at odd orders when g negates), and P's
+    # witness pair, mapped by g, realizes Q with two different sequences
+    group = list(_group(3))
+    assert len(group) == 96
+    rep_of = {}
+    for P, size in orbit_representatives(3):
+        rows = [[int(s) for s in row] for row in P.rows]
+        images = set()
+        for g in group:
+            Q = SignPattern.from_rows(_act(g, rows))
+            images.add(Q)
+            rep_of.setdefault(Q, (P, g))
+        assert len(images) == size, P.to_text()
+    assert len(rep_of) == 3**9
+    verdicts = {}
+    for Q, (P, g) in rep_of.items():
+        if P not in verdicts:
+            verdicts[P] = unique_verdict(P, search_budget=600, seed=0)
+        v = verdicts[P]
+        if v.unique:
+            want = _negate_odd_orders(v.sequence) if g[2] < 0 else v.sequence
+            assert fixed_sequence(Q) == want, Q.to_text()
+            continue
+        assert v.status is UniqueStatus.NOT_UNIQUE and fixed_sequence(Q) is None, Q.to_text()
+        B1, _, B2, _ = v.witnesses
+        C1, C2 = (RationalMatrix.from_rows(_act(g, B.rows)) for B in (B1, B2))
+        assert C1.is_realization_of(Q) and C2.is_realization_of(Q), Q.to_text()
+        assert sepr_of_matrix(C1) != sepr_of_matrix(C2), Q.to_text()

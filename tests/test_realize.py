@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from seprkit.analysis import term_verdicts
 from seprkit.pattern import (
     OrderGuardError,
     SignPattern,
@@ -552,14 +553,20 @@ def test_inverse_relation_both_branches():
             seen_neg += 1
 
 
+def _ambiguous_masks(P):
+    return [m for v in term_verdicts(P) for m in v.ambiguous_masks]
+
+
 def test_distinct_sepr_search():
-    found = distinct_sepr_search(parse_pattern("++\n--"))
+    P = parse_pattern("++\n--")
+    found = distinct_sepr_search(P, _ambiguous_masks(P))
     assert found is not None
     b1, s1, b2, s2 = found
     assert s1 != s2
     assert sepr_of_matrix(b1) == s1 and sepr_of_matrix(b2) == s2
     # a pattern with every term fixed has nothing to find
-    assert distinct_sepr_search(parse_pattern("0+\n-0"), budget=200) is None
+    P = parse_pattern("0+\n-0")
+    assert distinct_sepr_search(P, _ambiguous_masks(P), budget=200) is None
 
 
 def test_epsilon_grid_diagonal_sequences():
