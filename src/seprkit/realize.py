@@ -1,19 +1,19 @@
 """Exact rational realizations of sign patterns and their sepr-sequences.
 
-Everything here is exact: matrices carry Fraction entries, and realization
-sweeps are reproducible from a seed.  Each exact minor, determinant or
-inverse comes from one kernel, _det: integer rows (positive row scaling
-clears the denominators), closed forms to order 3 and fraction-free
-Bareiss elimination above.  Whole tables of minors are built otherwise:
-by Laplace recursion in the batched sweep and the all-nonzero walk, and,
-for the sepr of one matrix, by one depth-first walk over index sets in
-which each set's bordered minors follow from its parent's by one exact
-step of Sylvester's identity (below a zero principal minor, from _det on
-the table of its nearest nonzero ancestor).
-Alongside the plain grid sweep the module provides targeted constructors
-(dominate a chosen term, hit an exact zero of an ambiguous minor, make
-all ambiguous minors nonzero) that the analysis layer uses to separate
-sepr-sequences.
+Everything here is exact, and realization sweeps are reproducible from a
+seed.  Matrices carry Fraction entries; the walks and sweeps run on integer
+rows.  Each exact minor, determinant or inverse comes from one kernel, _det:
+integer rows (positive row scaling clears the denominators), closed forms to
+order 3 and fraction-free Bareiss elimination above.  Whole tables of minors
+are built otherwise: by Laplace recursion in the batched sweep and the
+all-nonzero walk (whose rows keep one denominator each), and, for the sepr
+of one matrix, by one depth-first walk over index sets in which each set's
+bordered minors follow from its parent's by one exact step of Sylvester's
+identity (below a zero principal minor, from _det on the table of its
+nearest nonzero ancestor).  Alongside the plain grid sweep the module
+provides targeted constructors (dominate a chosen term, hit an exact zero of
+an ambiguous minor, make all ambiguous minors nonzero) that the analysis
+layer uses to separate sepr-sequences.
 
 The grid sweep evaluates all principal minors of a batch of realizations
 at once, in int64, by one shared Laplace recursion over minors.  It runs
@@ -400,9 +400,10 @@ def _digit_batches(g: int, nnz: int, budget: int, seed: int,
 
 def _matrix_from_digits(P: SignPattern, grid: MagnitudeGrid,
                         positions: Sequence[tuple[int, int]], digits) -> RationalMatrix:
+    signed = {Sign.PLUS: grid.values, Sign.MINUS: tuple(-x for x in grid.values)}
     rows = [[Fraction(0)] * P.n for _ in range(P.n)]
-    for t, (i, j) in enumerate(positions):
-        rows[i][j] = int(P.rows[i][j]) * grid.values[int(digits[t])]
+    for (i, j), d in zip(positions, digits.tolist()):
+        rows[i][j] = signed[P.rows[i][j]][d]
     return RationalMatrix(tuple(tuple(r) for r in rows))
 
 
@@ -707,16 +708,18 @@ def allnonzero_realization(P: SignPattern) -> RationalMatrix:
     min |d| / |cofactor| over all minors through that entry, which keeps
     every currently-nonzero minor's sign intact.  Every determinant is read
     from two tables over all equal-size (row mask, col mask) pairs: S, the
-    term signs of P (S == 3 is ambiguous), and D, the exact minors of the
-    current matrix.  A nudge B[u][v] += step is a rank-one update of D: a
-    minor through (u, v) moves by step times its signed cofactor, which does
-    not contain row u and so stays put; no other minor moves.
+    term signs of P (S == 3 is ambiguous), and D, the integer minors of N,
+    where row i of B is N[i] / L[i] with one positive denominator per row.
+    A nudge B[u][v] += step rescales row u, in N, L and D, by what L[u]
+    lacks of the step's denominator; then each minor through (u, v) moves by
+    step * L[u] times its signed cofactor, which lacks row u; none else moves.
     """
     n = P.n
     if n > ALLNONZERO_ORDER_GUARD:
         raise OrderGuardError(f"limited to order {ALLNONZERO_ORDER_GUARD}")
-    B = [[int(s) for s in row] for row in P.rows]
-    D = _minor_table(B, mul, add)
+    N = [[int(s) for s in row] for row in P.rows]
+    L = [1] * n
+    D = _minor_table(N, mul, add)
     # masks through index i, by size, each with the parity of i's position
     through = [[[(m, (m & ((1 << i) - 1)).bit_count() & 1)
                  for m in subsets_of_size(n, k) if m >> i & 1] for k in range(n + 1)]
@@ -725,7 +728,7 @@ def allnonzero_realization(P: SignPattern) -> RationalMatrix:
         if signs != 3 or D[rm, cm] != 0:
             continue
         chosen = next(((u, v) for u in mask_indices(rm) for v in mask_indices(cm)
-                       if B[u][v] and D[rm ^ (1 << u), cm ^ (1 << v)] != 0), None)
+                       if N[u][v] and D[rm ^ (1 << u), cm ^ (1 << v)] != 0), None)
         if chosen is None:
             raise RealizationError("no perturbable entry; contradicts construction")
         u, v = chosen
@@ -736,18 +739,24 @@ def allnonzero_realization(P: SignPattern) -> RationalMatrix:
                     cof = D[rm2 ^ (1 << u), cm2 ^ (1 << v)]
                     if cof:
                         hits.append(((rm2, cm2), -cof if pu ^ pv else cof))
-        # the bound min |d| / |cof| as p / q, found by cross-multiplying
+        # min |D| / |cof| as p / q, by cross-multiplying; over L[u] it bounds B
         p, q = 0, 0
         for key, cof in hits:
             if d := D[key]:
-                a, b = abs(d.numerator * cof.denominator), abs(d.denominator * cof.numerator)
+                a, b = abs(d), abs(cof)
                 if not q or a * q < p * b:
                     p, q = a, b
-        step = Fraction(p, 2 * q)
-        B[u][v] += step
+        step = Fraction(p, 2 * q * L[u])
+        if (f := lcm(L[u], step.denominator) // L[u]) > 1:
+            N[u], L[u] = [x * f for x in N[u]], L[u] * f
+            for key in D:
+                if key[0] >> u & 1:
+                    D[key] *= f
+        delta = step.numerator * (L[u] // step.denominator)
+        N[u][v] += delta
         for key, cof in hits:
-            D[key] += step * cof
-    return RationalMatrix.from_rows(B)
+            D[key] += delta * cof
+    return RationalMatrix(tuple(tuple(Fraction(x, l) for x in row) for row, l in zip(N, L)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Exact realizations: sepr of matrices, grids, targeted constructions."""
 import ast
+import hashlib
 import random
 import sys
 import time
@@ -426,6 +427,49 @@ def test_allnonzero_equals_bound_walk():
         for (rm, cm), signs in _term_sign_table(P).items():
             d = signed_det_masked(P, rm, cm)
             assert signs == d.has_positive_term | d.has_negative_term << 1, (P.to_text(), rm, cm)
+
+
+def test_allnonzero_digests_past_order_6():
+    # past order 6 the reference walk is too slow, so the matrices of the
+    # rational-entry walk are pinned: sha256 of to_text() on seeded dense
+    # order-7 and sparse (26 of 64 entries) order-8 patterns
+    rng = random.Random(97)
+    want = [
+        (7, 49, "29d34bf3f267908265ee5fada4c1a79e3fccf6e01fe0fc9dc4c63d8bf3dadffb"),
+        (7, 49, "52f37b9e75075fae0652db3fdf293d18d6d1a775d4e780828aeb5d19e258cc51"),
+        (7, 49, "483d0992a61d20c6cafdd6e944d032abc9278a15bd644bc25c9c26fc8852cdfd"),
+        (8, 26, "375daec2586f1b0189c9bf9cba0c969363df1fd477f8d8ce42bb780a0cc4f4f5"),
+        (8, 26, "f94b89ad71c076dac62a6f3e8ea19f2abe4f2ae088da25a1b0be068694b6de8b"),
+    ]
+    for n, nonzeros, digest in want:
+        P = _random_pattern(rng, n, nonzeros)
+        B = allnonzero_realization(P)
+        assert B.is_realization_of(P)
+        assert hashlib.sha256(B.to_text().encode()).hexdigest() == digest, P.to_text()
+
+
+def test_allnonzero_guard_budget():
+    # at ALLNONZERO_ORDER_GUARD each shape finishes well inside its ceiling,
+    # and sampled ambiguous minors of the result are nonzero
+    n, ceiling_s = realize.ALLNONZERO_ORDER_GUARD, 10.0
+    rng = random.Random(94)
+    cases = {
+        "zero": [[0] * n for _ in range(n)],
+        "diagonal": [[int(i == j) for j in range(n)] for i in range(n)],
+        "tridiagonal": [[rng.choice((-1, 1)) if abs(i - j) <= 1 else 0 for j in range(n)]
+                        for i in range(n)],
+        "upper triangular": [[int(j >= i) for j in range(n)] for i in range(n)],
+    }
+    for name, rows in cases.items():
+        P = SignPattern.from_rows(rows)
+        start = time.perf_counter()
+        B = allnonzero_realization(P)
+        elapsed = time.perf_counter() - start
+        assert elapsed < ceiling_s, (name, elapsed)
+        assert B.is_realization_of(P), name
+        ambiguous = [key for key, signs in _term_sign_table(P).items() if signs == 3]
+        for rm, cm in rng.sample(ambiguous, min(100, len(ambiguous))):
+            assert B.minor(mask_indices(rm), mask_indices(cm)) != 0, (name, rm, cm)
 
 
 def _term_positions(P, mask, target):
