@@ -12,12 +12,13 @@ from enum import Enum
 from typing import Iterable, Iterator, Optional
 
 from .pattern import (
+    DET_ORDER_GUARD,
     OrderGuardError,
     SignPattern,
+    _term_signs,
     bigraph,
     has_perfect_matching,
     mask_indices,
-    signed_det_masked,
     subsets_of_size,
 )
 from .signs import Sign
@@ -192,12 +193,11 @@ def simple_cycles(G: SignedDigraph, cap: int = SIMPLE_CYCLE_CAP) -> Iterator[tup
             iters.append(iter(succ[w]))
 
 
-def _cycle_signs(G: SignedDigraph, cycle: tuple[int, ...]) -> tuple[Sign, Sign]:
+def _cycle_signs(P: SignPattern, cycle: tuple[int, ...]) -> tuple[Sign, Sign]:
     """(product of arc signs, signed cycle product) for a simple cycle."""
-    sign_at = {(i, j): s for i, j, s in G.arcs}
     prod = Sign.PLUS
     for a, b in zip(cycle, cycle[1:] + cycle[:1]):
-        prod = prod * sign_at[(a, b)]
+        prod = prod * P.rows[a][b]
     signed = prod if len(cycle) % 2 == 1 else -prod
     return prod, signed
 
@@ -221,25 +221,25 @@ def cycle_report(G: SignedDigraph, max_order: Optional[int] = None) -> CycleRepo
         max_order = n
     if not 0 <= max_order <= n:
         raise ValueError("max_order out of range")
+    if max_order > DET_ORDER_GUARD:
+        raise OrderGuardError(f"signed determinant limited to order {DET_ORDER_GUARD}")
     longest = 0
     for cyc in simple_cycles(G):
         longest = max(longest, len(cyc))
-    P = G.to_pattern()
+    rows = G.to_pattern().rows
+    memo: dict = {}
     orders = set()
     signs_by_order: dict[int, frozenset[Sign]] = {}
     for k in range(1, max_order + 1):
-        present: set[Sign] = set()
+        bits = 0
         for mask in subsets_of_size(n, k):
-            d = signed_det_masked(P, mask)
-            if d.has_positive_term:
-                present.add(Sign.PLUS)
-            if d.has_negative_term:
-                present.add(Sign.MINUS)
-            if len(present) == 2:
+            bits |= _term_signs(rows, memo, mask, mask)
+            if bits == 3:
                 break
-        if present:
+        if bits:
             orders.add(k)
-            signs_by_order[k] = frozenset(present)
+            signs_by_order[k] = frozenset(
+                s for b, s in ((1, Sign.PLUS), (2, Sign.MINUS)) if bits & b)
     return CycleReport(longest, frozenset(orders), signs_by_order)
 
 
@@ -419,7 +419,7 @@ def classify_cycle_sign_structure(P: SignPattern, cap: int = SIMPLE_CYCLE_CAP) -
     all_signed_pos = True
     all_prod_neg = True
     for cyc in simple_cycles(G, cap):
-        prod, signed = _cycle_signs(G, cyc)
+        prod, signed = _cycle_signs(P, cyc)
         if signed is not Sign.PLUS:
             all_signed_pos = False
         if prod is not Sign.MINUS:
@@ -435,12 +435,12 @@ def classify_cycle_sign_structure(P: SignPattern, cap: int = SIMPLE_CYCLE_CAP) -
 
 def all_cycle_products_negative(P: SignPattern) -> bool:
     G = SignedDigraph.of_pattern(P)
-    return all(_cycle_signs(G, c)[0] is Sign.MINUS for c in simple_cycles(G))
+    return all(_cycle_signs(P, c)[0] is Sign.MINUS for c in simple_cycles(G))
 
 
 def all_signed_cycle_products_positive(P: SignPattern) -> bool:
     G = SignedDigraph.of_pattern(P)
-    return all(_cycle_signs(G, c)[1] is Sign.PLUS for c in simple_cycles(G))
+    return all(_cycle_signs(P, c)[1] is Sign.PLUS for c in simple_cycles(G))
 
 
 # ---------------------------------------------------------------------------

@@ -44,10 +44,8 @@ from .pattern import SignPattern
 from .realize import (
     MagnitudeGrid,
     RationalMatrix,
-    _digit_batches,
+    _first_witnesses,
     _sequence_from_code,
-    _slice_codes,
-    _sweep_plan,
     ones_realization,
     sepr_of_matrix,
     sweep_sepr_table,
@@ -385,12 +383,8 @@ def _sym3_sweep(values: list[int]) -> dict[str, RationalMatrix]:
     the first in stream order.
     """
     vals = np.array(values, dtype=np.int64)
-    plan = _sweep_plan(SignPattern.from_rows([[1] * 3] * 3))
-    found: dict[int, np.ndarray] = {}
-    for digits in _digit_batches(len(vals), 6, len(vals) ** 6, 0, 0):
-        codes = _slice_codes(plan, vals[digits[:, _SYM3_DIGIT]].T)
-        for c, fi in zip(*np.unique(codes, return_index=True)):
-            found.setdefault(int(c), digits[fi])
+    found = _first_witnesses(SignPattern.from_rows([[1] * 3] * 3), len(vals), 6,
+                             len(vals) ** 6, 0, 0, lambda part: vals[part[:, _SYM3_DIGIT]].T)
     return {str(_sequence_from_code(c, 3)):
             RationalMatrix.from_rows([[values[dg[t]] for t in _SYM3_DIGIT[3 * i:3 * i + 3]]
                                       for i in range(3)])
@@ -449,10 +443,10 @@ def verify_order3_nonneg_catalog() -> VerificationReport:
 # check 2: uniqueness <=> all terms fixed (orders <= 4)
 
 _CASES = {UniqueStatus.UNIQUE_BY_FIXED_TERMS: "fixed", UniqueStatus.NOT_UNIQUE: "witnessed"}
+_WITNESS_BUDGET = 600  # realizations unique_verdict may try per pattern
 
 
-def verify_unique_iff_determined(n: int, wit_budget: int = 600,
-                                 seed: int = 0) -> VerificationReport:
+def verify_unique_iff_determined(n: int, seed: int = 0) -> VerificationReport:
     """Uniqueness holds exactly when every position is fixed (orders 2..4).
 
     Every pattern is covered: each of orbit_representatives gets one
@@ -473,7 +467,7 @@ def verify_unique_iff_determined(n: int, wit_budget: int = 600,
         families["symmetric-"] = frozenset({"symmetric"})
     counts = {tag + key: 0 for tag in families for key in ("patterns", "fixed", "witnessed")}
     for P, size in orbit_representatives(n):
-        v = unique_verdict(P, search_budget=wit_budget, seed=seed)
+        v = unique_verdict(P, search_budget=_WITNESS_BUDGET, seed=seed)
         tags = [tag for tag, c in families.items() if _satisfies(P, c)]
         case = _CASES.get(v.status, "pending")
         for tag in tags:
@@ -489,7 +483,7 @@ def verify_unique_iff_determined(n: int, wit_budget: int = 600,
         failures.append({"orbit-sizes-sum": counts["patterns"]})
     if n == 4:
         ss_count = 0
-        for P in enumerate_patterns(PatternFamily(4, frozenset({"semi-stable"}))):
+        for P in simplified_semistable_patterns(4):
             ss_count += 1
             seq = fixed_sequence(P)
             if seq is None:
@@ -514,8 +508,7 @@ SMALL_DIGRAPH_ANCHORS = frozenset({
 })
 
 
-def verify_symmetric_nonneg_unique(n_max: int = 4, wit_budget: int = 600,
-                                   seed: int = 0) -> VerificationReport:
+def verify_symmetric_nonneg_unique(n_max: int = 4, seed: int = 0) -> VerificationReport:
     """Classification of symmetric nonnegative patterns with unique sepr.
 
     Every unique pattern must start with one of the ten initial pairs; the
@@ -536,7 +529,7 @@ def verify_symmetric_nonneg_unique(n_max: int = 4, wit_budget: int = 600,
         open_sequences[n] = set()
         for P in enumerate_patterns(fam):
             total += 1
-            v = unique_verdict(P, search_budget=wit_budget, seed=seed)
+            v = unique_verdict(P, search_budget=_WITNESS_BUDGET, seed=seed)
             if v.status is UniqueStatus.NOT_UNIQUE:
                 continue
             if v.status is not UniqueStatus.UNIQUE_BY_FIXED_TERMS:
@@ -612,8 +605,7 @@ def _broom_ditree(n: int, m: int) -> SignPattern:
     return SignPattern(tuple(tuple(r) for r in rows))
 
 
-def verify_semistable_suite(n_max: int = 5, grid: Optional[MagnitudeGrid] = None,
-                            budget: int = 10**5, seed: int = 0) -> VerificationReport:
+def verify_semistable_suite(n_max: int = 5, seed: int = 0) -> VerificationReport:
     """Structure of semi-stable sepr-sequences at orders <= n_max.
 
     Enumerates the simplified semi-stable patterns, checks every sequence
@@ -693,8 +685,8 @@ def verify_semistable_suite(n_max: int = 5, grid: Optional[MagnitudeGrid] = None
             if fixed_sequence(w) != fixed_sequence(base):
                 failures.append({"add-cycle": "sequence changed",
                                  "base": base.to_json()["rows"]})
-            a = set(map(str, sweep_sepr_table(base, grid, budget, seed)))
-            b = set(map(str, sweep_sepr_table(w, grid, budget, seed)))
+            a = set(map(str, sweep_sepr_table(base, budget=10**5, seed=seed)))
+            b = set(map(str, sweep_sepr_table(w, budget=10**5, seed=seed)))
             if a != b:
                 failures.append({"add-cycle": "grid sepr-sets differ",
                                  "base": sorted(a), "witness": sorted(b)})

@@ -10,10 +10,12 @@ all-nonzero walk (whose rows keep one denominator each), and, for the sepr
 of one matrix, by one depth-first walk over index sets in which each set's
 bordered minors follow from its parent's by one exact step of Sylvester's
 identity (below a zero principal minor, from _det on the table of its
-nearest nonzero ancestor).  Alongside the plain grid sweep the module
-provides targeted constructors (dominate a chosen term, hit an exact zero of
-an ambiguous minor, make all ambiguous minors nonzero) that the analysis
-layer uses to separate sepr-sequences.
+nearest nonzero ancestor).  Term signs come from the pattern module's one
+recursion; the all-nonzero walk asks it only about zero minors that have
+a term.  Alongside the plain grid sweep the module provides targeted
+constructors (dominate a chosen term, hit an exact zero of an ambiguous
+minor, make all ambiguous minors nonzero) that the analysis layer uses to
+separate sepr-sequences.
 
 The grid sweep evaluates all principal minors of a batch of realizations
 at once, in int64, by one shared Laplace recursion over minors.  It runs
@@ -31,7 +33,6 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import factorial, isqrt, lcm
-from operator import add, mul, or_
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -40,6 +41,7 @@ from .pattern import (
     OrderGuardError,
     SignPattern,
     _first_terms,
+    _term_signs,
     mask_indices,
     signed_det_masked,
     subsets_of_size,
@@ -372,7 +374,7 @@ class MagnitudeGrid:
 
 
 def _digit_batches(g: int, nnz: int, budget: int, seed: int,
-                   canonical: int, chunk: int = _CHUNK) -> Iterator[np.ndarray]:
+                   canonical: int) -> Iterator[np.ndarray]:
     """Batches of magnitude-index rows; exhaustive when g**nnz <= budget.
 
     Oversized spaces get one canonical row (all `canonical`) followed by a
@@ -380,8 +382,8 @@ def _digit_batches(g: int, nnz: int, budget: int, seed: int,
     """
     space = g**nnz
     if space <= budget:
-        for start in range(0, space, chunk):
-            idx = np.arange(start, min(start + chunk, space), dtype=np.int64)
+        for start in range(0, space, _CHUNK):
+            idx = np.arange(start, min(start + _CHUNK, space), dtype=np.int64)
             digits = np.empty((len(idx), nnz), dtype=np.int64)
             rem = idx
             for t in range(nnz):
@@ -393,7 +395,7 @@ def _digit_batches(g: int, nnz: int, budget: int, seed: int,
     rng = np.random.Generator(np.random.Philox(key=seed))
     remaining = budget - 1
     while remaining > 0:
-        b = min(chunk, remaining)
+        b = min(_CHUNK, remaining)
         yield rng.integers(0, g, size=(b, nnz), dtype=np.int64)
         remaining -= b
 
@@ -506,28 +508,25 @@ def _slice_codes(plan: list[tuple[int, list, np.ndarray]], entries: np.ndarray) 
     return code
 
 
-def _sweep_batched(P: SignPattern, grid: MagnitudeGrid, budget: int,
-                   seed: int) -> dict[SeprSequence, RationalMatrix]:
-    positions = P.nonzero_positions()
-    signs = np.array([int(P.rows[i][j]) for i, j in positions], dtype=np.int64)
-    vals = np.array(grid.int_scaled(), dtype=np.int64)
+def _first_witnesses(P: SignPattern, g: int, nd: int, budget: int, seed: int, canonical: int,
+                     entries) -> dict[int, np.ndarray]:
+    """First digit row of each base-7 sepr code over `_digit_batches(g, nd, budget, seed,
+    canonical)`, in stream order; `entries` maps digit rows to P's nonzero entries."""
     plan = _sweep_plan(P)
     # int64 rows live at once: the entry stack, the previous level, and the
     # current level with one term and its gathered sub-minors
     sizes = [size for size, _, _ in plan]
-    live = 2 * len(positions) + max(p + 3 * c for p, c in zip([1] + sizes, sizes))
+    live = 2 * len(P.nonzero_positions()) + max(p + 3 * c for p, c in zip([1] + sizes, sizes))
     width = max(1, _SWEEP_BYTES // (8 * live))
     found: dict[int, np.ndarray] = {}
-    for digits in _digit_batches(len(vals), len(positions), budget, seed,
-                                 grid.canonical_digit()):
+    for digits in _digit_batches(g, nd, budget, seed, canonical):
         for lo in range(0, len(digits), width):
             part = digits[lo:lo + width]
-            codes = _slice_codes(plan, signs[:, None] * vals[part.T])
+            codes = _slice_codes(plan, entries(part))
             for fi in np.sort(np.unique(codes, return_index=True)[1]).tolist():
                 if int(codes[fi]) not in found:
                     found[int(codes[fi])] = part[fi].copy()
-    return {_sequence_from_code(c, P.n): _matrix_from_digits(P, grid, positions, d)
-            for c, d in found.items()}
+    return found
 
 
 def sweep_sepr_table(P: SignPattern, grid: Optional[MagnitudeGrid] = None,
@@ -546,7 +545,13 @@ def sweep_sepr_table(P: SignPattern, grid: Optional[MagnitudeGrid] = None,
     # a j x j minor, and each partial sum or product E * M of its expansion,
     # is a sum of at most j! permutation terms of size at most M**j
     if factorial(P.n) * max(grid.int_scaled()) ** P.n <= _INT64_MAX:
-        return _sweep_batched(P, grid, budget, seed)
+        positions = P.nonzero_positions()
+        signs = np.array([int(P.rows[i][j]) for i, j in positions], dtype=np.int64)
+        vals = np.array(grid.int_scaled(), dtype=np.int64)
+        found = _first_witnesses(P, len(vals), len(positions), budget, seed,
+                                 grid.canonical_digit(), lambda part: signs[:, None] * vals[part.T])
+        return {_sequence_from_code(c, P.n): _matrix_from_digits(P, grid, positions, d)
+                for c, d in found.items()}
     out: dict[SeprSequence, RationalMatrix] = {}
     for B in grid_realizations(P, grid, budget, seed):
         out.setdefault(sepr_of_matrix(B), B)
@@ -667,17 +672,17 @@ def distinct_sepr_search(P: SignPattern, ambiguous_masks: Sequence[int], budget:
 # ---------------------------------------------------------------------------
 # all ambiguous minors nonzero
 
-def _minor_table(rows: Sequence[Sequence], mul, add) -> dict[tuple[int, int], object]:
-    """Every equal-size minor E[rm, cm] of `rows`, keyed by (row mask, col mask).
+def _minor_table(rows: Sequence[Sequence[int]]) -> dict[tuple[int, int], int]:
+    """Every equal-size minor E[rm, cm] of integer `rows`, keyed by (row mask, col mask).
 
-    One Laplace recursion along row r = min(rm): E[rm, cm] is the `add`-sum
-    over the columns c_0 < c_1 < ... of cm of
-    mul((-1)**t * rows[r][c_t], E[rm - r, cm - c_t]), zero entries skipped;
-    E[0, 0] = 1 and an empty sum is 0.  Keys run in k, rm, cm order.
+    One Laplace recursion along row r = min(rm): E[rm, cm] is the sum over
+    the columns c_0 < c_1 < ... of cm of (-1)**t * rows[r][c_t] *
+    E[rm - r, cm - c_t], zero entries skipped; E[0, 0] = 1 and an empty sum
+    is 0.  Keys run in k, rm, cm order.
     """
     n = len(rows)
     by_size = [[(m, mask_indices(m)) for m in subsets_of_size(n, k)] for k in range(n + 1)]
-    table: dict[tuple[int, int], object] = {(0, 0): 1}
+    table: dict[tuple[int, int], int] = {(0, 0): 1}
     for k in range(1, n + 1):
         for rm, ridx in by_size[k]:
             row, rest = rows[ridx[0]], rm ^ (1 << ridx[0])
@@ -685,18 +690,9 @@ def _minor_table(rows: Sequence[Sequence], mul, add) -> dict[tuple[int, int], ob
                 acc = 0
                 for t, c in enumerate(cidx):
                     if e := row[c]:
-                        acc = add(acc, mul(-e if t & 1 else e, table[rest, cm ^ (1 << c)]))
+                        acc += (-e if t & 1 else e) * table[rest, cm ^ (1 << c)]
                 table[rm, cm] = acc
     return table
-
-
-def _term_sign_table(P: SignPattern) -> dict[tuple[int, int], int]:
-    """Term signs of every equal-size minor of P: bit 1 a positive term, bit 2 a negative.
-
-    A negative entry swaps the two bits of the cofactor's signs.
-    """
-    return _minor_table([[int(s) for s in row] for row in P.rows],
-                        lambda e, x: x if e > 0 else (x & 1) << 1 | x >> 1, or_)
 
 
 def allnonzero_realization(P: SignPattern) -> RationalMatrix:
@@ -707,31 +703,42 @@ def allnonzero_realization(P: SignPattern) -> RationalMatrix:
     sits on a nonzero term).  The step is half the exact bound
     min |d| / |cofactor| over all minors through that entry, which keeps
     every currently-nonzero minor's sign intact.  Every determinant is read
-    from two tables over all equal-size (row mask, col mask) pairs: S, the
-    term signs of P (S == 3 is ambiguous), and D, the integer minors of N,
-    where row i of B is N[i] / L[i] with one positive denominator per row.
-    A nudge B[u][v] += step rescales row u, in N, L and D, by what L[u]
-    lacks of the step's denominator; then each minor through (u, v) moves by
-    step * L[u] times its signed cofactor, which lacks row u; none else moves.
+    from one table D over all equal-size (row mask, col mask) pairs, the
+    integer minors of N, where row i of B is N[i] / L[i] with one positive
+    denominator per row.  When a minor is reached, every smaller minor with
+    a term is nonzero (one with terms of one sign always, an ambiguous one
+    since its turn), so a zero minor has a term iff row u = min rm has an
+    entry (u, v) with a nonzero cofactor; the first such entry is nudged.
+    A zero minor with a term is ambiguous, which `_term_signs` confirms
+    (one memo per call).  A nudge B[u][v] += step rescales row u, in N, L
+    and D, by what L[u] lacks of the step's denominator; then each minor
+    through (u, v) moves by step * L[u] times its signed cofactor, which
+    lacks row u; none else moves.
     """
     n = P.n
     if n > ALLNONZERO_ORDER_GUARD:
         raise OrderGuardError(f"limited to order {ALLNONZERO_ORDER_GUARD}")
     N = [[int(s) for s in row] for row in P.rows]
     L = [1] * n
-    D = _minor_table(N, mul, add)
+    D = _minor_table(N)
+    memo: dict = {}
     # masks through index i, by size, each with the parity of i's position
     through = [[[(m, (m & ((1 << i) - 1)).bit_count() & 1)
                  for m in subsets_of_size(n, k) if m >> i & 1] for k in range(n + 1)]
                for i in range(n)]
-    for (rm, cm), signs in _term_sign_table(P).items():
-        if signs != 3 or D[rm, cm] != 0:
+    nonzero = [sum(1 << j for j, x in enumerate(row) if x) for row in N]  # columns, by row
+    for rm, cm in D:
+        if D[rm, cm] != 0:
             continue
-        chosen = next(((u, v) for u in mask_indices(rm) for v in mask_indices(cm)
-                       if N[u][v] and D[rm ^ (1 << u), cm ^ (1 << v)] != 0), None)
-        if chosen is None:
-            raise RealizationError("no perturbable entry; contradicts construction")
-        u, v = chosen
+        u = (rm & -rm).bit_length() - 1
+        c = cm & nonzero[u]  # v: the first of these columns with a nonzero cofactor
+        while c and D[rm ^ (1 << u), cm ^ (c & -c)] == 0:
+            c &= c - 1
+        if not c:
+            continue
+        v = (c & -c).bit_length() - 1
+        if _term_signs(P.rows, memo, rm, cm) != 3:
+            raise RealizationError("a zero minor with a term is not ambiguous")
         hits = []  # (minor through (u, v), its signed cofactor) where that is nonzero
         for rows_u, cols_v in zip(through[u], through[v]):
             for rm2, pu in rows_u:

@@ -25,6 +25,8 @@ from seprkit.digraph import (
     strong_components,
 )
 from seprkit.pattern import (
+    DET_ORDER_GUARD,
+    OrderGuardError,
     SignPattern,
     is_ambiguous,
     parse_pattern,
@@ -157,6 +159,47 @@ def test_cycle_report_against_packing_oracle():
                 if d.has_negative_term:
                     seen.add(Sign.MINUS)
             assert signs == frozenset(seen)
+
+
+def test_cycle_report_equals_per_mask_reference():
+    # one shared term-sign memo gives the signed-product signs a fresh
+    # signed_det_masked per principal mask gives, at every max_order
+    rng = random.Random(41)
+    for _ in range(300):
+        n = rng.randint(1, 7)
+        density = rng.choice((0.2, 0.4, 0.7, 1.0))
+        P = SignPattern(tuple(
+            tuple(rng.choice((Sign.PLUS, Sign.MINUS)) if rng.random() < density else Sign.ZERO
+                  for _ in range(n)) for _ in range(n)))
+        want = {}
+        for k in range(1, n + 1):
+            seen = set()
+            for m in subsets_of_size(n, k):
+                d = signed_det_masked(P, m)
+                if d.has_positive_term:
+                    seen.add(Sign.PLUS)
+                if d.has_negative_term:
+                    seen.add(Sign.MINUS)
+            if seen:
+                want[k] = frozenset(seen)
+        for max_order in range(n + 1):
+            rep = cycle_report(digraph_of(P), max_order)
+            assert rep.signed_product_signs_by_order == \
+                {k: s for k, s in want.items() if k <= max_order}, (P.to_text(), max_order)
+            assert rep.composite_cycle_orders == frozenset(k for k in want if k <= max_order)
+
+
+def test_cycle_report_order_guard():
+    # past DET_ORDER_GUARD the guard trips before any cycle or minor is read;
+    # a low max_order still reports
+    G = digraph_of(cycle_pattern(DET_ORDER_GUARD + 1))
+    with pytest.raises(OrderGuardError):
+        cycle_report(G, max_order=DET_ORDER_GUARD + 1)
+    with pytest.raises(OrderGuardError):
+        cycle_report(G)
+    rep = cycle_report(G, max_order=3)
+    assert rep.max_simple_cycle_length == DET_ORDER_GUARD + 1
+    assert rep.composite_cycle_orders == frozenset()
 
 
 def test_semistable_examples():

@@ -16,6 +16,7 @@ from seprkit.pattern import (
     OrderGuardError,
     SignPattern,
     _first_terms,
+    _term_signs,
     full_mask,
     mask_from,
     mask_indices,
@@ -27,7 +28,6 @@ from seprkit import realize
 from seprkit.realize import (
     MagnitudeGrid,
     RationalMatrix,
-    _term_sign_table,
     allnonzero_realization,
     distinct_sepr_search,
     dominated_realization,
@@ -415,8 +415,9 @@ def _bound_walk_allnonzero(P):
 
 
 def test_allnonzero_equals_bound_walk():
-    # the table walk returns the reference's matrix, and its term-sign table
-    # matches the signed-determinant scan on every equal-size pair
+    # the table walk returns the reference's matrix, and the term signs of
+    # every equal-size pair, read through one shared memo as the walk reads
+    # them, match a fresh signed-determinant scan
     rng = random.Random(83)
     cases = [(n, density) for n in range(2, 6) for density in (0.3, 0.6, 1.0) for _ in range(17)]
     cases += [(6, 0.4), (6, 0.7), (6, 1.0)]
@@ -424,9 +425,13 @@ def test_allnonzero_equals_bound_walk():
         P = _random_pattern(rng, n, max(1, round(density * n * n)))
         B, want = allnonzero_realization(P), _bound_walk_allnonzero(P)
         assert B == want and B.to_text() == want.to_text(), P.to_text()
-        for (rm, cm), signs in _term_sign_table(P).items():
-            d = signed_det_masked(P, rm, cm)
-            assert signs == d.has_positive_term | d.has_negative_term << 1, (P.to_text(), rm, cm)
+        memo: dict = {}
+        for k in range(n + 1):
+            for rm in subsets_of_size(n, k):
+                for cm in subsets_of_size(n, k):
+                    d = signed_det_masked(P, rm, cm)
+                    assert _term_signs(P.rows, memo, rm, cm) == \
+                        d.has_positive_term | d.has_negative_term << 1, (P.to_text(), rm, cm)
 
 
 def test_allnonzero_digests_past_order_6():
@@ -467,7 +472,9 @@ def test_allnonzero_guard_budget():
         elapsed = time.perf_counter() - start
         assert elapsed < ceiling_s, (name, elapsed)
         assert B.is_realization_of(P), name
-        ambiguous = [key for key, signs in _term_sign_table(P).items() if signs == 3]
+        memo: dict = {}
+        ambiguous = [(rm, cm) for k in range(n + 1) for rm in subsets_of_size(n, k)
+                     for cm in subsets_of_size(n, k) if _term_signs(P.rows, memo, rm, cm) == 3]
         for rm, cm in rng.sample(ambiguous, min(100, len(ambiguous))):
             assert B.minor(mask_indices(rm), mask_indices(cm)) != 0, (name, rm, cm)
 
