@@ -258,8 +258,8 @@ def _cmd_check_sequence(args) -> int:
 
 def _positive_int(text: str) -> int:
     value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    if not 1 <= value <= 2**63 - 1:
+        raise argparse.ArgumentTypeError(f"must lie in [1, 2**63 - 1], got {value}")
     return value
 
 

@@ -1,15 +1,16 @@
 """Signed digraphs of sign patterns.
 
-Covers strong components and the simplified pattern, cycle structure
-(simple and composite), the combinatorial stability tests, matching
-numbers of underlying graphs, and generators for the small named digraph
-families used throughout the analysis and verification layers.
+Covers strong components, the simplified pattern and irreducibility (all
+read off one reachability closure), cycle structure (simple and
+composite), the combinatorial stability tests, matching numbers of
+underlying graphs, and generators for the small named digraph families
+used throughout the analysis and verification layers.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator, Optional
+from typing import Iterator, Optional
 
 from .pattern import (
     DET_ORDER_GUARD,
@@ -17,7 +18,9 @@ from .pattern import (
     SignPattern,
     _term_signs,
     bigraph,
+    full_mask,
     has_perfect_matching,
+    mask_from,
     mask_indices,
     subsets_of_size,
 )
@@ -79,58 +82,30 @@ def digraph_of(P: SignPattern) -> SignedDigraph:
 # ---------------------------------------------------------------------------
 # strong components / simplification
 
+def _reach(G: SignedDigraph) -> list[int]:
+    """Per vertex, the bitmask of vertices it reaches (itself included),
+    by Warshall's closure."""
+    reach = [1 << v for v in range(G.n)]
+    for i, j, _ in G.arcs:
+        reach[i] |= 1 << j
+    for k in range(G.n):
+        for i in range(G.n):
+            if reach[i] >> k & 1:
+                reach[i] |= reach[k]
+    return reach
+
+
 def strong_components(G: SignedDigraph) -> tuple[tuple[int, ...], ...]:
-    """SCC partition (Tarjan, iterative), ordered by smallest member vertex."""
-    succ = G.successors_with_loops()
-    n = G.n
-    index = [-1] * n
-    low = [0] * n
-    on_stack = [False] * n
-    stack: list[int] = []
-    comps: list[tuple[int, ...]] = []
-    counter = 0
-    for root in range(n):
-        if index[root] != -1:
-            continue
-        work = [(root, 0)]
-        while work:
-            v, pi = work[-1]
-            if pi == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            advanced = False
-            for k in range(pi, len(succ[v])):
-                w = succ[v][k]
-                if index[w] == -1:
-                    work[-1] = (v, k + 1)
-                    work.append((w, 0))
-                    advanced = True
-                    break
-                if on_stack[w]:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == v:
-                        break
-                comps.append(tuple(sorted(comp)))
-            work.pop()
-            if work:
-                u = work[-1][0]
-                low[u] = min(low[u], low[v])
-    return tuple(sorted(comps))
+    """SCC partition, ordered by smallest member vertex."""
+    reach = _reach(G)
+    return tuple(sorted({tuple(u for u in mask_indices(r) if reach[u] >> v & 1)
+                         for v, r in enumerate(reach)}))
 
 
 def is_irreducible(P: SignPattern) -> bool:
     """n >= 2 patterns are irreducible iff the digraph is strongly connected."""
-    return len(strong_components(SignedDigraph.of_pattern(P))) == 1
+    full = full_mask(P.n)
+    return all(r == full for r in _reach(SignedDigraph.of_pattern(P)))
 
 
 def simplify(P: SignPattern) -> SignPattern:
@@ -139,16 +114,9 @@ def simplify(P: SignPattern) -> SignPattern:
     The surviving arcs are exactly those lying on a cycle, so the sepr-set
     is unchanged.  Idempotent; loops are 1-cycles and always survive.
     """
-    G = SignedDigraph.of_pattern(P)
-    comp_of = [0] * P.n
-    for ci, comp in enumerate(strong_components(G)):
-        for v in comp:
-            comp_of[v] = ci
+    reach = _reach(SignedDigraph.of_pattern(P))
     rows = [
-        tuple(
-            s if (i == j or comp_of[i] == comp_of[j]) else Sign.ZERO
-            for j, s in enumerate(row)
-        )
+        tuple(s if i == j or reach[j] >> i & 1 else Sign.ZERO for j, s in enumerate(row))
         for i, row in enumerate(P.rows)
     ]
     return SignPattern(tuple(rows))
@@ -298,16 +266,16 @@ def is_sign_stable_irreducible(P: SignPattern) -> StabilityVerdict:
         return semi
     if not has_perfect_matching(bigraph(P)):
         return StabilityVerdict(False, "combinatorially singular: no nonzero determinant term")
+    nz = [mask_from(j for j, s in enumerate(row) if s is not Sign.ZERO) for row in P.rows]
+    loops = mask_from(i for i in range(n) if nz[i] >> i & 1)
+    full = full_mask(n)
     for beta in range(1, 1 << n):
+        if beta & loops:
+            continue
         bidx = mask_indices(beta)
-        if any(P.rows[i][i] is not Sign.ZERO for i in bidx):
+        if any(not nz[i] & beta for i in bidx):
             continue
-        if any(all(P.rows[i][j] is Sign.ZERO for j in bidx) for i in bidx):
-            continue
-        comp = [i for i in range(n) if not beta & (1 << i)]
-        if any(
-            sum(1 for j in bidx if P.rows[i][j] is not Sign.ZERO) == 1 for i in comp
-        ):
+        if any((nz[i] & beta).bit_count() == 1 for i in mask_indices(full ^ beta)):
             continue
         pretty = "{" + ",".join(str(i + 1) for i in bidx) + "}"
         return StabilityVerdict(False, f"index set {pretty} admits sustained oscillation")
@@ -316,37 +284,6 @@ def is_sign_stable_irreducible(P: SignPattern) -> StabilityVerdict:
 
 # ---------------------------------------------------------------------------
 # matching number
-
-def _greedy_forest_matching(n: int, edges: Iterable[tuple[int, int]]) -> int:
-    adj: list[set[int]] = [set() for _ in range(n)]
-    for a, b in edges:
-        adj[a].add(b)
-        adj[b].add(a)
-    alive = set(range(n))
-    size = 0
-    changed = True
-    while changed:
-        changed = False
-        for v in sorted(alive):
-            if len(adj[v]) == 1:
-                u = next(iter(adj[v]))
-                for w in list(adj[u]):
-                    adj[w].discard(u)
-                for w in list(adj[v]):
-                    adj[w].discard(v)
-                adj[u].clear()
-                adj[v].clear()
-                alive.discard(u)
-                alive.discard(v)
-                size += 1
-                changed = True
-                break
-        if not changed:
-            isolated = [v for v in alive if not adj[v]]
-            for v in isolated:
-                alive.discard(v)
-    return size
-
 
 def _is_forest(n: int, edges: tuple[tuple[int, int], ...]) -> bool:
     parent = list(range(n))
@@ -368,19 +305,41 @@ def _is_forest(n: int, edges: tuple[tuple[int, int], ...]) -> bool:
 def matching_number(G: SignedDigraph) -> int:
     """Maximum matching of the underlying loopless graph.
 
-    Forests are solved greedily from the leaves; everything else uses an
-    exact DP over vertex subsets (guarded by order).
+    Forests are matched greedily from the leaves up, at any order; everything
+    else uses an exact DP over vertex subsets (guarded by order).
     """
     n = G.n
     edges = G.underlying_edges()
-    if _is_forest(n, edges):
-        return _greedy_forest_matching(n, edges)
-    if n > MATCHING_ORDER_GUARD:
-        raise OrderGuardError(f"matching number limited to order {MATCHING_ORDER_GUARD}")
     nb = [0] * n
     for a, b in edges:
         nb[a] |= 1 << b
         nb[b] |= 1 << a
+    if _is_forest(n, edges):
+        preorder: list[int] = []
+        seen = 0
+        stack = list(range(n - 1, -1, -1))
+        while stack:
+            v = stack.pop()
+            if not seen >> v & 1:
+                seen |= 1 << v
+                preorder.append(v)
+                kids = nb[v] & ~seen
+                while kids:
+                    stack.append(kids.bit_length() - 1)
+                    kids ^= 1 << stack[-1]
+        # in reverse preorder every child comes before its parent, so a vertex
+        # still free at its turn has matched children and its parent as its
+        # one free neighbour
+        free = full_mask(n)
+        size = 0
+        for v in reversed(preorder):
+            parent = nb[v] & free
+            if parent and free >> v & 1:
+                free ^= parent | 1 << v
+                size += 1
+        return size
+    if n > MATCHING_ORDER_GUARD:
+        raise OrderGuardError(f"matching number limited to order {MATCHING_ORDER_GUARD}")
     dp = [0] * (1 << n)
     for mask in range(1, 1 << n):
         v = (mask & -mask).bit_length() - 1
@@ -526,8 +485,6 @@ def make_family(family: DigraphFamily) -> SignPattern:
         elif family.loops != "none":
             raise ValueError(f"bad loops spec for complete: {family.loops!r}")
     elif family.kind == "cycle":
-        if k < 1:
-            raise ValueError("cycle needs at least 1 vertex")
         for i in range(k):
             rows[i][(i + 1) % k] = arrow
         nloops = family.loops if isinstance(family.loops, int) else 0

@@ -20,6 +20,7 @@ from typing import Iterable, Iterator, Optional
 import numpy as np
 
 from .analysis import (
+    TheoremContradiction,
     UniqueStatus,
     add_cycle_witness,
     check_semistable_laws,
@@ -539,7 +540,7 @@ def verify_symmetric_nonneg_unique(n_max: int = 4, seed: int = 0) -> Verificatio
             unique += 1
             try:
                 cls = classify_symmetric_nonneg_unique(P, verdict=v)
-            except AssertionError as e:
+            except TheoremContradiction as e:
                 failures.append({"n": n, "classification-error": str(e)})
                 continue
             if cls.case == "open":

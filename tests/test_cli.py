@@ -141,7 +141,7 @@ def test_budget_must_be_positive(capsys, tmp_path):
     large = tmp_path / "p5.txt"
     large.write_text("\n".join("0" * i + "+" + "0" * (4 - i) for i in range(5)) + "\n")
     for p in (small, large):
-        for budget in ("0", "-5", "many"):
+        for budget in ("0", "-5", "many", str(2**63)):
             code, out, err = run(capsys, "seprset", "--pattern", str(p), "--budget", budget)
             assert code == 2 and out == "" and "--budget" in err
     code, _, err = run(capsys, "check-unique", "--pattern", str(small), "--budget", "0")

@@ -4,9 +4,11 @@ import random
 import pytest
 
 from seprkit.digraph import (
+    MATCHING_ORDER_GUARD,
     CycleSignStructure,
     DigraphFamily,
     SignedDigraph,
+    StabilityVerdict,
     all_cycle_products_negative,
     classify_cycle_sign_structure,
     complete_pattern,
@@ -28,7 +30,11 @@ from seprkit.pattern import (
     DET_ORDER_GUARD,
     OrderGuardError,
     SignPattern,
+    bigraph,
+    has_perfect_matching,
     is_ambiguous,
+    mask_indices,
+    max_bipartite_matching,
     parse_pattern,
     signed_det_masked,
     subsets_of_size,
@@ -69,13 +75,22 @@ def test_strong_components_examples():
 
 
 def test_strong_components_against_oracle():
+    # simplify keeps an off-diagonal arc iff both ends share an oracle block
     rng = random.Random(5)
     for _ in range(200):
-        n = rng.randint(1, 6)
+        n = rng.randint(1, 12)
+        zeros = rng.choice((2, 4, 8))
         P = SignPattern(tuple(
-            tuple(rng.choice([Sign.ZERO, Sign.ZERO, Sign.PLUS, Sign.MINUS])
+            tuple(rng.choice([Sign.ZERO] * zeros + [Sign.PLUS, Sign.MINUS])
                   for _ in range(n)) for _ in range(n)))
-        assert strong_components(digraph_of(P)) == reachability_components(P)
+        comps = reachability_components(P)
+        assert strong_components(digraph_of(P)) == comps
+        block = {v: c for c in comps for v in c}
+        S = simplify(P)
+        for i in range(n):
+            for j in range(n):
+                keep = i == j or block[i] == block[j]
+                assert S.rows[i][j] == (P.rows[i][j] if keep else Sign.ZERO), (P.to_text(), i, j)
 
 
 def test_simplify_examples():
@@ -254,6 +269,59 @@ def test_stability_pair():
     assert not v and "singular" in v.reason
 
 
+def stability_scan_reference(P):
+    """The index-set scan of is_sign_stable_irreducible over list rows."""
+    n = P.n
+    semi = is_sign_semi_stable(P)
+    if not semi:
+        return semi
+    if not has_perfect_matching(bigraph(P)):
+        return StabilityVerdict(False, "combinatorially singular: no nonzero determinant term")
+    for beta in range(1, 1 << n):
+        bidx = mask_indices(beta)
+        if any(P.rows[i][i] is not Sign.ZERO for i in bidx):
+            continue
+        if any(all(P.rows[i][j] is Sign.ZERO for j in bidx) for i in bidx):
+            continue
+        comp = [i for i in range(n) if not beta & (1 << i)]
+        if any(sum(1 for j in bidx if P.rows[i][j] is not Sign.ZERO) == 1 for i in comp):
+            continue
+        pretty = "{" + ",".join(str(i + 1) for i in bidx) + "}"
+        return StabilityVerdict(False, f"index set {pretty} admits sustained oscillation")
+    return StabilityVerdict(True)
+
+
+def random_forest(rng, n, p_edge, loops):
+    """Doubly directed forest with opposite signs on each pair, negative loops
+    with probability `loops`, and shuffled vertex labels."""
+    rows = [[Sign.ZERO] * n for _ in range(n)]
+    label = list(range(n))
+    rng.shuffle(label)
+    for v in range(1, n):
+        if rng.random() < p_edge:
+            a, b = label[v], label[rng.randrange(v)]
+            rows[a][b] = rng.choice((Sign.PLUS, Sign.MINUS))
+            rows[b][a] = -rows[a][b]
+    for v in range(n):
+        if rng.random() < loops:
+            rows[v][v] = Sign.MINUS
+    return SignPattern(tuple(tuple(r) for r in rows))
+
+
+def test_stability_scan_against_reference():
+    # a doubly directed tree with opposite signs on each pair and negative
+    # loops is irreducible and semi-stable
+    rng = random.Random(23)
+    reasons = set()
+    for _ in range(1000):
+        P = random_forest(rng, rng.randint(1, 10), 1.0, 0.35)
+        got = is_sign_stable_irreducible(P)
+        want = stability_scan_reference(P)
+        assert (got.ok, got.reason) == (want.ok, want.reason), P.to_text()
+        reasons.add(got.reason and got.reason.split()[0])
+    assert reasons == {None, "combinatorially", "index"}
+
+
 def test_stability_past_the_det_guard():
     # the stability guard admits orders the signed determinant does not
     P = path_pattern(17, loops="all")
@@ -269,6 +337,16 @@ def test_matching_number():
     assert matching_number(digraph_of(pairs)) == 3
     assert matching_number(digraph_of(complete_pattern(4))) == 2
     assert matching_number(digraph_of(SignPattern.zero(3))) == 0
+    # forests answer at every order, past MATCHING_ORDER_GUARD too; the
+    # bigraph of a loopless doubly directed forest is two copies of it
+    rng = random.Random(17)
+    for n in range(1, 61):
+        for _ in range(3):
+            P = random_forest(rng, n, 0.85, 0.0)
+            assert 2 * matching_number(digraph_of(P)) == max_bipartite_matching(bigraph(P)), \
+                P.to_text()
+    with pytest.raises(OrderGuardError):
+        matching_number(digraph_of(cycle_pattern(MATCHING_ORDER_GUARD + 1)))
 
 
 def test_classify_cycle_sign_structure():

@@ -701,12 +701,13 @@ def _random_pattern(rng, n, nonzeros):
 
 def test_sweep_equals_first_witness_stream():
     # the batched int64 sweep, and the per-realization path past its bound,
-    # both return exactly the stream's first witness per sequence
+    # both return exactly the stream's first witness per sequence, in the
+    # stream's order
     rng = random.Random(71)
     for n in range(1, 8):
         m = _largest_exact_magnitude(n)
         grids = [(MagnitudeGrid.default(), True), (MagnitudeGrid.of(1, m), True),
-                 (MagnitudeGrid.of(1, m + 1), False)]
+                 (MagnitudeGrid.of(1, m + 1), False), (MagnitudeGrid.of(1, 10**12), n == 1)]
         for grid, exact in grids:
             assert (factorial(n) * max(grid.int_scaled()) ** n <= INT64_MAX) is exact
             g = len(grid.values)
@@ -718,5 +719,5 @@ def test_sweep_equals_first_witness_stream():
                 got = sweep_sepr_table(P, grid, budget, seed)
                 want = _stream_table(P, grid, budget, seed)
                 assert got == want, (n, grid, P.to_text())
-                assert {str(s): B.to_text() for s, B in got.items()} == \
-                    {str(s): B.to_text() for s, B in want.items()}
+                assert [(str(s), B.to_text()) for s, B in got.items()] == \
+                    [(str(s), B.to_text()) for s, B in want.items()]
