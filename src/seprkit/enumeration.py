@@ -13,8 +13,8 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, permutations, product
-from math import comb
+from itertools import combinations, islice, permutations, product
+from math import comb, prod
 from typing import Iterable, Iterator, Optional
 
 import numpy as np
@@ -79,52 +79,42 @@ class PatternFamily:
 # ---------------------------------------------------------------------------
 # enumeration
 
-def _free_positions(n: int, symmetric: bool) -> list[tuple[int, int]]:
-    if symmetric:
-        return [(i, j) for i in range(n) for j in range(i, n)]
-    return [(i, j) for i in range(n) for j in range(n)]
-
-
-def _alphabets(fam: PatternFamily) -> tuple[list[tuple[int, int]], list[tuple[Sign, ...]]]:
-    n = fam.order
-    c = fam.constraints
-    positions = _free_positions(n, "symmetric" in c)
-    alphabets = []
-    kept = []
-    base_diag: tuple[Sign, ...] = (Sign.ZERO, Sign.PLUS, Sign.MINUS)
-    base_off: tuple[Sign, ...] = (Sign.ZERO, Sign.PLUS, Sign.MINUS)
+def _row_alphabets(fam: PatternFamily) -> list[list[tuple[Sign, ...]]]:
+    """The alphabet of each free entry, row by row: columns i.. of row i in
+    symmetric families (the rest is copied from the rows above), every
+    column otherwise.  A zero diagonal is pinned by the alphabet (0,)."""
+    n, c = fam.order, fam.constraints
+    signs = (Sign.ZERO, Sign.PLUS, Sign.MINUS)
+    diag = signs[:1] if "zero-diagonal" in c else signs
+    off = signs[1:] if "full-off-diagonal" in c else signs
     if "nonnegative" in c:
-        base_diag = tuple(s for s in base_diag if s is not Sign.MINUS)
-        base_off = tuple(s for s in base_off if s is not Sign.MINUS)
-    if "full-off-diagonal" in c:
-        base_off = tuple(s for s in base_off if s is not Sign.ZERO)
-    for (i, j) in positions:
-        alpha = base_diag if i == j else base_off
-        if i == j and "zero-diagonal" in c:
-            continue  # diagonal pinned to zero
-        kept.append((i, j))
-        alphabets.append(alpha)
-    return kept, alphabets
+        diag, off = diag[:2], off[:-1]
+    first = "symmetric" in c  # row i starts at column i * first
+    return [[diag if j == i else off for j in range(i * first, n)] for i in range(n)]
 
 
 def family_size(fam: PatternFamily) -> int:
     """Closed-form size for alphabet-product families (no post-filters)."""
     if "semi-stable" in fam.constraints or "irreducible" in fam.constraints:
         raise ValueError("no closed form for filtered families")
-    _, alphabets = _alphabets(fam)
-    size = 1
-    for a in alphabets:
-        size *= len(a)
-    return size
+    return prod(len(a) for row in _row_alphabets(fam) for a in row)
 
 
-def _pattern_from_choice(n: int, symmetric: bool, positions, choice) -> SignPattern:
-    rows = [[Sign.ZERO] * n for _ in range(n)]
-    for (i, j), s in zip(positions, choice):
-        rows[i][j] = s
-        if symmetric:
-            rows[j][i] = s
-    return SignPattern(tuple(tuple(r) for r in rows))
+def _stacked_rows(tails: list[list[tuple[Sign, ...]]], symmetric: bool) -> Iterator[SignPattern]:
+    """Patterns whose row i is a head plus one of tails[i], the last row
+    changing fastest; the head is column i of the rows above when
+    symmetric, empty otherwise."""
+    def grow(rows):
+        i = len(rows)
+        head = tuple(r[i] for r in rows) if symmetric else ()
+        if i == len(tails) - 1:
+            for tail in tails[i]:
+                yield SignPattern(rows + (head + tail,))
+        else:
+            for tail in tails[i]:
+                yield from grow(rows + (head + tail,))
+
+    return grow(())
 
 
 def _forest_edge_sets(n: int) -> Iterator[tuple[tuple[int, int], ...]]:
@@ -141,19 +131,22 @@ def simplified_semistable_patterns(n: int) -> Iterator[SignPattern]:
     Their digraphs are strong diforests with negative loops: doubly
     directed forest edges carrying opposite signs plus any subset of
     negative loops.  Every semi-stable pattern shares its sepr-set with
-    exactly one of these (arcs off the cycles never matter).
+    exactly one of these (arcs off the cycles never matter).  Each signed
+    forest gives every row twice, without and with its loop; the loop
+    masks count up with vertex 0's bit lowest.
     """
     for edges in _forest_edge_sets(n):
-        for signs in product((Sign.PLUS, Sign.MINUS), repeat=len(edges)):
-            for loops in range(1 << n):
-                rows = [[Sign.ZERO] * n for _ in range(n)]
-                for (a, b), s in zip(edges, signs):
-                    rows[a][b] = s
-                    rows[b][a] = -s
-                for v in range(n):
-                    if loops >> v & 1:
-                        rows[v][v] = Sign.MINUS
-                yield SignPattern(tuple(tuple(r) for r in rows))
+        for signs in product(((Sign.PLUS, Sign.MINUS), (Sign.MINUS, Sign.PLUS)), repeat=len(edges)):
+            rows = [[Sign.ZERO] * n for _ in range(n)]
+            for (a, b), (s, t) in zip(edges, signs):
+                rows[a][b], rows[b][a] = s, t
+            choices = []
+            for v in reversed(range(n)):  # product varies its last factor fastest
+                plain = tuple(rows[v])
+                rows[v][v] = Sign.MINUS
+                choices.append((plain, tuple(rows[v])))
+            for picked in product(*choices):
+                yield SignPattern(picked[::-1])
 
 
 def _satisfies(P: SignPattern, constraints: frozenset[str]) -> bool:
@@ -172,31 +165,35 @@ def _satisfies(P: SignPattern, constraints: frozenset[str]) -> bool:
     return True
 
 
+def _within_budget(stream: Iterator[SignPattern], budget: int) -> Iterator[SignPattern]:
+    yield from islice(stream, budget)
+    if next(stream, None) is not None:
+        raise EnumerationBudgetExceeded(f"family has more than {budget} members")
+
+
 def enumerate_patterns(fam: PatternFamily, budget: int = 10**7) -> Iterator[SignPattern]:
     """Deterministic, duplicate-free stream of the family's patterns.
 
     Alphabet-product families run in lexicographic entry order (row-major,
     sign order 0, +, -).  The semi-stable constraint enumerates the
     simplified representatives (see simplified_semistable_patterns); the
-    irreducible constraint is a post-filter.
+    irreducible constraint is a post-filter.  `budget` bounds every family
+    before its filters: an alphabet product larger than `budget` is refused
+    up front, and the semi-stable stream raises EnumerationBudgetExceeded
+    where it would yield member budget + 1.
     """
     c = fam.constraints
-    n = fam.order
     if "semi-stable" in c:
-        stream: Iterable[SignPattern] = simplified_semistable_patterns(n)
-        stream = (P for P in stream if _satisfies(P, c))
+        stream: Iterable[SignPattern] = _within_budget(
+            simplified_semistable_patterns(fam.order), budget)
+        if c - {"semi-stable", "irreducible"}:
+            stream = (P for P in stream if _satisfies(P, c))
     else:
-        positions, alphabets = _alphabets(fam)
-        size = 1
-        for a in alphabets:
-            size *= len(a)
+        alphabets = _row_alphabets(fam)
+        size = prod(len(a) for row in alphabets for a in row)
         if size > budget:
             raise EnumerationBudgetExceeded(f"family has {size} members, budget {budget}")
-        symmetric = "symmetric" in c
-        stream = (
-            _pattern_from_choice(n, symmetric, positions, choice)
-            for choice in product(*alphabets)
-        )
+        stream = _stacked_rows([list(product(*row)) for row in alphabets], "symmetric" in c)
     if "irreducible" in c:
         stream = (P for P in stream if is_irreducible(P))
     return stream
@@ -230,9 +227,12 @@ def _orbit_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
     values = np.array(values, dtype=np.int32)
     halves = []
     for lo, hi in ((0, h), (h, cells)):
-        table = np.zeros((len(values), 1), dtype=np.int32)
-        for pos in range(lo, hi):  # digit `pos` is the most significant so far
-            table = np.concatenate([table + values[:, pos, x, None] for x in range(3)], axis=1)
+        table = np.zeros((len(values), 3 ** (hi - lo)), dtype=np.int32)
+        for w, pos in enumerate(range(lo, hi)):  # digit `pos` is the most significant so far
+            done = table[:, :3**w]
+            for x in (2, 1):  # blocks 2 and 1 from block 0, then block 0 in place
+                np.add(done, values[:, pos, x, None], out=table[:, x * 3**w:(x + 1) * 3**w])
+            done += values[:, pos, 0, None]
         halves.append(table)
     return halves[0], halves[1]
 

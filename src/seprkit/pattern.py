@@ -73,8 +73,7 @@ class SignPattern:
     def __post_init__(self):
         if not self.rows:
             raise ValueError("pattern must have at least one row")
-        w = len(self.rows[0])
-        if any(len(r) != w for r in self.rows):
+        if len(set(map(len, self.rows))) != 1:
             raise ValueError("ragged rows")
 
     # -- construction -------------------------------------------------------

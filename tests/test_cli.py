@@ -1,5 +1,6 @@
 """Command-line surface: flags, exit codes, JSON stability."""
 import json
+import time
 
 import pytest
 
@@ -118,6 +119,17 @@ def test_enumerate_command(capsys):
     code, out, _ = run(capsys, "enumerate", "--order", "2",
                        "--constraints", "symmetric,nonnegative", "--count-only")
     assert code == 0 and out.strip() == "8"
+
+
+def test_enumerate_budget_bounds_semistable(capsys):
+    code, out, _ = run(capsys, "enumerate", "--order", "5", "--constraints", "semi-stable",
+                       "--count-only")
+    assert code == 0 and out.strip() == "98592"
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "enumerate", "--order", "9", "--constraints", "semi-stable",
+                         "--count-only", "--budget", "1000")
+    assert code == 2 and out == "" and err.startswith("error: ") and "1000" in err
+    assert time.perf_counter() - t0 < 5
 
 
 def test_seprset_json_deterministic(capsys, tmp_path):

@@ -54,6 +54,18 @@ def test_enumeration_budget():
         list(enumerate_patterns(PatternFamily(3), budget=100))
 
 
+def test_semistable_budget():
+    fam = PatternFamily(5, frozenset({"semi-stable"}))
+    assert sum(1 for _ in enumerate_patterns(fam, budget=98592)) == 98592
+    with pytest.raises(EnumerationBudgetExceeded):
+        sum(1 for _ in enumerate_patterns(fam, budget=98591))
+    # the budget counts members before the filters
+    fam = PatternFamily(3, frozenset({"semi-stable", "symmetric"}))
+    assert sum(1 for _ in enumerate_patterns(fam, budget=152)) == 8
+    with pytest.raises(EnumerationBudgetExceeded):
+        list(enumerate_patterns(fam, budget=151))
+
+
 def test_enumeration_constraints_respected():
     fam = PatternFamily(3, frozenset({"zero-diagonal", "full-off-diagonal"}))
     pats = list(enumerate_patterns(fam))
