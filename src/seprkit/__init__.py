@@ -33,7 +33,6 @@ from .digraph import (
     CycleReport,
     CycleSignStructure,
     DigraphFamily,
-    SignedDigraph,
     classify_cycle_sign_structure,
     cycle_report,
     is_irreducible,
@@ -43,6 +42,7 @@ from .digraph import (
     matching_number,
     simplify,
     strong_components,
+    to_dot,
 )
 from .realize import (
     MagnitudeGrid,

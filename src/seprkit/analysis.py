@@ -14,7 +14,6 @@ from math import prod
 from typing import Optional
 
 from .digraph import (
-    SignedDigraph,
     _is_forest,
     all_cycle_products_negative,
     is_sign_semi_stable,
@@ -319,6 +318,20 @@ def _is_strong_ditree(P: SignPattern) -> bool:
     return len(edges) == n - 1 and _is_forest(n, tuple(edges))
 
 
+def _matching_sequence(n: int, m: int) -> tuple[SeprSymbol, ...]:
+    """Sequence of an order-n zero-diagonal semi-stable pattern whose
+    simplified digraph has matching number m."""
+    terms = []
+    for k in range(1, n + 1):
+        if k == n:
+            terms.append(SeprSymbol.AP if 2 * m == n else SeprSymbol.N)
+        elif k % 2 == 0 and k <= 2 * m:
+            terms.append(SeprSymbol.SP)
+        else:
+            terms.append(SeprSymbol.N)
+    return tuple(terms)
+
+
 def _fixed_or_raise(P: SignPattern, rule: str) -> SeprSequence:
     seq = fixed_sequence(P)
     if seq is None:  # pragma: no cover - the rules guarantee fixedness
@@ -384,17 +397,8 @@ def predicted_sepr(P: SignPattern) -> Optional[PredictedSepr]:
                              "all-cycle-products-negative")
 
     if P.has_zero_diagonal() and is_sign_semi_stable(P):
-        Q = simplify(P)
-        m = matching_number(SignedDigraph.of_pattern(Q))
-        terms = []
-        for k in range(1, n + 1):
-            if k == n:
-                terms.append(AP if 2 * m == n else N)
-            elif k % 2 == 0 and k <= 2 * m:
-                terms.append(SP)
-            else:
-                terms.append(N)
-        return PredictedSepr(SeprSequence(tuple(terms)), "semistable-zero-diagonal")
+        m = matching_number(simplify(P))
+        return PredictedSepr(SeprSequence(_matching_sequence(n, m)), "semistable-zero-diagonal")
 
     return None
 

@@ -1,16 +1,19 @@
 """Signed digraphs of sign patterns.
 
-Covers strong components, the simplified pattern and irreducibility (all
-read off one reachability closure), cycle structure (simple and
-composite), the combinatorial stability tests, matching numbers of
-underlying graphs, and generators for the small named digraph families
-used throughout the analysis and verification layers.
+A pattern is its own signed digraph: one arc i -> j, signed P[i][j], per
+nonzero entry, loops included.  Every query here takes the pattern and
+reads its rows.  Covers strong components, the simplified pattern and
+irreducibility (all read off one reachability closure), cycle structure
+(simple and composite), the combinatorial stability tests, matching
+numbers of underlying graphs, DOT export, and generators for the small
+named digraph families used throughout the analysis and verification
+layers.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 from .pattern import (
     DET_ORDER_GUARD,
@@ -31,73 +34,36 @@ MATCHING_ORDER_GUARD = 20
 STABLE_ORDER_GUARD = 20
 
 
-@dataclass(frozen=True)
-class SignedDigraph:
-    """Vertices 0..n-1 with signed arcs; loops allowed."""
-
-    n: int
-    arcs: tuple[tuple[int, int, Sign], ...]
-
-    @classmethod
-    def of_pattern(cls, P: SignPattern) -> "SignedDigraph":
-        arcs = tuple(
-            (i, j, s)
-            for i, row in enumerate(P.rows)
-            for j, s in enumerate(row)
-            if s is not Sign.ZERO
-        )
-        return cls(P.n, arcs)
-
-    def to_pattern(self) -> SignPattern:
-        rows = [[Sign.ZERO] * self.n for _ in range(self.n)]
-        for i, j, s in self.arcs:
-            rows[i][j] = s
-        return SignPattern(tuple(tuple(r) for r in rows))
-
-    def successors_with_loops(self) -> tuple[tuple[int, ...], ...]:
-        out: list[list[int]] = [[] for _ in range(self.n)]
-        for i, j, _ in self.arcs:
-            out[i].append(j)
-        return tuple(tuple(sorted(v)) for v in out)
-
-    def underlying_edges(self) -> tuple[tuple[int, int], ...]:
-        """Loopless undirected edges {i, j} with at least one arc between i and j."""
-        es = {(min(i, j), max(i, j)) for i, j, _ in self.arcs if i != j}
-        return tuple(sorted(es))
-
-    def to_dot(self) -> str:
-        lines = ["digraph pattern {"]
-        for v in range(self.n):
-            lines.append(f"  v{v};")
-        for i, j, s in self.arcs:
-            lines.append(f'  v{i} -> v{j} [label="{s.char}"];')
-        lines.append("}")
-        return "\n".join(lines)
-
-
-def digraph_of(P: SignPattern) -> SignedDigraph:
-    return SignedDigraph.of_pattern(P)
+def to_dot(P: SignPattern) -> str:
+    """Graphviz DOT text of the pattern's signed digraph."""
+    lines = ["digraph pattern {"]
+    for v in range(P.n):
+        lines.append(f"  v{v};")
+    for i, j in P.nonzero_positions():
+        lines.append(f'  v{i} -> v{j} [label="{P.rows[i][j].char}"];')
+    lines.append("}")
+    return "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------
 # strong components / simplification
 
-def _reach(G: SignedDigraph) -> list[int]:
+def _reach(P: SignPattern) -> list[int]:
     """Per vertex, the bitmask of vertices it reaches (itself included),
     by Warshall's closure."""
-    reach = [1 << v for v in range(G.n)]
-    for i, j, _ in G.arcs:
+    reach = [1 << v for v in range(P.n)]
+    for i, j in P.nonzero_positions():
         reach[i] |= 1 << j
-    for k in range(G.n):
-        for i in range(G.n):
+    for k in range(P.n):
+        for i in range(P.n):
             if reach[i] >> k & 1:
                 reach[i] |= reach[k]
     return reach
 
 
-def strong_components(G: SignedDigraph) -> tuple[tuple[int, ...], ...]:
+def strong_components(P: SignPattern) -> tuple[tuple[int, ...], ...]:
     """SCC partition, ordered by smallest member vertex."""
-    reach = _reach(G)
+    reach = _reach(P)
     return tuple(sorted({tuple(u for u in mask_indices(r) if reach[u] >> v & 1)
                          for v, r in enumerate(reach)}))
 
@@ -105,7 +71,7 @@ def strong_components(G: SignedDigraph) -> tuple[tuple[int, ...], ...]:
 def is_irreducible(P: SignPattern) -> bool:
     """n >= 2 patterns are irreducible iff the digraph is strongly connected."""
     full = full_mask(P.n)
-    return all(r == full for r in _reach(SignedDigraph.of_pattern(P)))
+    return all(r == full for r in _reach(P))
 
 
 def simplify(P: SignPattern) -> SignPattern:
@@ -114,7 +80,7 @@ def simplify(P: SignPattern) -> SignPattern:
     The surviving arcs are exactly those lying on a cycle, so the sepr-set
     is unchanged.  Idempotent; loops are 1-cycles and always survive.
     """
-    reach = _reach(SignedDigraph.of_pattern(P))
+    reach = _reach(P)
     rows = [
         tuple(s if i == j or reach[j] >> i & 1 else Sign.ZERO for j, s in enumerate(row))
         for i, row in enumerate(P.rows)
@@ -129,14 +95,14 @@ class CycleCapExceeded(OrderGuardError):
     pass
 
 
-def simple_cycles(G: SignedDigraph, cap: int = SIMPLE_CYCLE_CAP) -> Iterator[tuple[int, ...]]:
+def simple_cycles(P: SignPattern, cap: int = SIMPLE_CYCLE_CAP) -> Iterator[tuple[int, ...]]:
     """All simple directed cycles, each rooted at its smallest vertex.
 
     Loops are length-1 cycles.  Raises CycleCapExceeded past `cap` cycles.
     """
-    succ = G.successors_with_loops()
+    succ = [[j for j, s in enumerate(row) if s is not Sign.ZERO] for row in P.rows]
     count = 0
-    for root in range(G.n):
+    for root in range(P.n):
         # DFS over vertices >= root, so each cycle is reported exactly once.
         path = [root]
         on_path = {root}
@@ -177,14 +143,14 @@ class CycleReport:
     signed_product_signs_by_order: dict[int, frozenset[Sign]]
 
 
-def cycle_report(G: SignedDigraph, max_order: Optional[int] = None) -> CycleReport:
-    """Cycle-length spectrum of a signed digraph.
+def cycle_report(P: SignPattern, max_order: Optional[int] = None) -> CycleReport:
+    """Cycle-length spectrum of the pattern's signed digraph.
 
     Composite-cycle data is read off determinant terms of principal
     subpatterns: an order-k composite cycle is exactly a nonzero term of
     some k x k principal minor, and its signed product is the term's sign.
     """
-    n = G.n
+    n = P.n
     if max_order is None:
         max_order = n
     if not 0 <= max_order <= n:
@@ -192,16 +158,15 @@ def cycle_report(G: SignedDigraph, max_order: Optional[int] = None) -> CycleRepo
     if max_order > DET_ORDER_GUARD:
         raise OrderGuardError(f"signed determinant limited to order {DET_ORDER_GUARD}")
     longest = 0
-    for cyc in simple_cycles(G):
+    for cyc in simple_cycles(P):
         longest = max(longest, len(cyc))
-    rows = G.to_pattern().rows
     memo: dict = {}
     orders = set()
     signs_by_order: dict[int, frozenset[Sign]] = {}
     for k in range(1, max_order + 1):
         bits = 0
         for mask in subsets_of_size(n, k):
-            bits |= _term_signs(rows, memo, mask, mask)
+            bits |= _term_signs(P.rows, memo, mask, mask)
             if bits == 3:
                 break
         if bits:
@@ -240,8 +205,7 @@ def is_sign_semi_stable(P: SignPattern) -> StabilityVerdict:
                 return StabilityVerdict(
                     False, f"product of entries ({i + 1},{j + 1}) and ({j + 1},{i + 1}) is +"
                 )
-    G = SignedDigraph.of_pattern(P)
-    for cyc in simple_cycles(G):
+    for cyc in simple_cycles(P):
         if len(cyc) >= 3:
             pretty = ",".join(str(v + 1) for v in cyc)
             return StabilityVerdict(False, f"cycle ({pretty}) has length {len(cyc)}")
@@ -285,7 +249,7 @@ def is_sign_stable_irreducible(P: SignPattern) -> StabilityVerdict:
 # ---------------------------------------------------------------------------
 # matching number
 
-def _is_forest(n: int, edges: tuple[tuple[int, int], ...]) -> bool:
+def _is_forest(n: int, edges: Iterable[tuple[int, int]]) -> bool:
     parent = list(range(n))
 
     def find(x):
@@ -302,14 +266,15 @@ def _is_forest(n: int, edges: tuple[tuple[int, int], ...]) -> bool:
     return True
 
 
-def matching_number(G: SignedDigraph) -> int:
+def matching_number(P: SignPattern) -> int:
     """Maximum matching of the underlying loopless graph.
 
     Forests are matched greedily from the leaves up, at any order; everything
     else uses an exact DP over vertex subsets (guarded by order).
     """
-    n = G.n
-    edges = G.underlying_edges()
+    n = P.n
+    # loopless undirected edges {i, j} with at least one arc between i and j
+    edges = {(min(i, j), max(i, j)) for i, j in P.nonzero_positions() if i != j}
     nb = [0] * n
     for a, b in edges:
         nb[a] |= 1 << b
@@ -374,10 +339,9 @@ def classify_cycle_sign_structure(P: SignPattern, cap: int = SIMPLE_CYCLE_CAP) -
     Note the parity rule (signed k-cycle product = (-1)^k) is equivalent
     to every plain cycle product being negative.
     """
-    G = SignedDigraph.of_pattern(P)
     all_signed_pos = True
     all_prod_neg = True
-    for cyc in simple_cycles(G, cap):
+    for cyc in simple_cycles(P, cap):
         prod, signed = _cycle_signs(P, cyc)
         if signed is not Sign.PLUS:
             all_signed_pos = False
@@ -393,13 +357,11 @@ def classify_cycle_sign_structure(P: SignPattern, cap: int = SIMPLE_CYCLE_CAP) -
 
 
 def all_cycle_products_negative(P: SignPattern) -> bool:
-    G = SignedDigraph.of_pattern(P)
-    return all(_cycle_signs(P, c)[0] is Sign.MINUS for c in simple_cycles(G))
+    return all(_cycle_signs(P, c)[0] is Sign.MINUS for c in simple_cycles(P))
 
 
 def all_signed_cycle_products_positive(P: SignPattern) -> bool:
-    G = SignedDigraph.of_pattern(P)
-    return all(_cycle_signs(P, c)[1] is Sign.PLUS for c in simple_cycles(G))
+    return all(_cycle_signs(P, c)[1] is Sign.PLUS for c in simple_cycles(P))
 
 
 # ---------------------------------------------------------------------------
@@ -411,7 +373,8 @@ class DigraphFamily:
 
     kind: "path", "star", "cycle", "complete", or "leaf-loop-star".
     loops: for paths one of "none"/"one"/"both"/"all"; for stars
-      "none"/"center"; for complete "none"/"one"; for cycles a loop count.
+      "none"/"center"; for complete "none"/"one"; for cycles a loop count
+      or "none" (no loops).
     preset: "skew" (doubly directed pairs +/-, loops and single arcs get
       - and + respectively), "symmetric-positive" (every nonzero entry +),
       or "negative-diagonal" (like symmetric-positive but loops -).
@@ -487,7 +450,9 @@ def make_family(family: DigraphFamily) -> SignPattern:
     elif family.kind == "cycle":
         for i in range(k):
             rows[i][(i + 1) % k] = arrow
-        nloops = family.loops if isinstance(family.loops, int) else 0
+        nloops = 0 if family.loops == "none" else family.loops
+        if not isinstance(nloops, int):
+            raise ValueError(f"bad loops spec for cycle: {family.loops!r}")
         if not 0 <= nloops <= k:
             raise ValueError("loop count out of range")
         for v in range(nloops):

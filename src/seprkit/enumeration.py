@@ -22,6 +22,7 @@ import numpy as np
 from .analysis import (
     TheoremContradiction,
     UniqueStatus,
+    _matching_sequence,
     add_cycle_witness,
     check_semistable_laws,
     classify_symmetric_nonneg_unique,
@@ -31,7 +32,6 @@ from .analysis import (
     unique_verdict,
 )
 from .digraph import (
-    SignedDigraph,
     _is_forest,
     is_irreducible,
     is_sign_semi_stable,
@@ -703,20 +703,11 @@ def verify_semistable_suite(n_max: int = 5, seed: int = 0) -> VerificationReport
             if not is_sign_semi_stable(P):
                 failures.append({"ladder": (n, m), "not-semi-stable": True})
                 continue
-            Q = simplify(P)
-            if matching_number(SignedDigraph.of_pattern(Q)) != m:
+            if matching_number(simplify(P)) != m:
                 failures.append({"ladder": (n, m), "matching-number": "off"})
                 continue
             seq = semistable_sequence(P)
-            want = []
-            for k in range(1, n + 1):
-                if k == n:
-                    want.append(SeprSymbol.AP if 2 * m == n else SeprSymbol.N)
-                elif k % 2 == 0 and k <= 2 * m:
-                    want.append(SeprSymbol.SP)
-                else:
-                    want.append(SeprSymbol.N)
-            if seq.terms != tuple(want):
+            if seq.terms != _matching_sequence(n, m):
                 failures.append({"ladder": (n, m), "got": str(seq)})
             ladder += 1
     counts["ladder-sequences"] = ladder

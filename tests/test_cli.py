@@ -115,6 +115,16 @@ def test_family_command(capsys):
     assert code == 0 and out.strip() == "-++\n-00\n-00"
 
 
+def test_family_cycle_loops_spec(capsys):
+    code, out, _ = run(capsys, "family", "cycle", "3", "--loops", "none")
+    assert code == 0 and out.strip() == "0+0\n00+\n+00"
+    code, out, _ = run(capsys, "family", "cycle", "3", "--loops", "2")
+    assert code == 0 and out.strip() == "-+0\n0-+\n+00"
+    for bad in ("banana", "-1"):
+        code, out, err = run(capsys, "family", "cycle", "3", "--loops", bad)
+        assert code == 2 and out == "" and err.startswith("error: bad loops spec for cycle"), bad
+
+
 def test_enumerate_command(capsys):
     code, out, _ = run(capsys, "enumerate", "--order", "2",
                        "--constraints", "symmetric,nonnegative", "--count-only")

@@ -7,7 +7,6 @@ from seprkit.digraph import (
     MATCHING_ORDER_GUARD,
     CycleSignStructure,
     DigraphFamily,
-    SignedDigraph,
     StabilityVerdict,
     all_cycle_products_negative,
     classify_cycle_sign_structure,
@@ -25,6 +24,7 @@ from seprkit.digraph import (
     simplify,
     star_pattern,
     strong_components,
+    to_dot,
 )
 from seprkit.pattern import (
     DET_ORDER_GUARD,
@@ -40,10 +40,6 @@ from seprkit.pattern import (
     subsets_of_size,
 )
 from seprkit.signs import AmbSign, Sign
-
-
-def digraph_of(P):
-    return SignedDigraph.of_pattern(P)
 
 
 def reachability_components(P):
@@ -67,11 +63,11 @@ def reachability_components(P):
 
 def test_strong_components_examples():
     path = path_pattern(4)
-    assert strong_components(digraph_of(path)) == ((0, 1, 2, 3),)
+    assert strong_components(path) == ((0, 1, 2, 3),)
     upper = parse_pattern("0++\n00+\n000")
-    assert strong_components(digraph_of(upper)) == ((0,), (1,), (2,))
+    assert strong_components(upper) == ((0,), (1,), (2,))
     ref = parse_pattern("++00\n0-+0\n+0++\n00-0")
-    assert strong_components(digraph_of(ref)) == reachability_components(ref)
+    assert strong_components(ref) == reachability_components(ref)
 
 
 def test_strong_components_against_oracle():
@@ -84,7 +80,7 @@ def test_strong_components_against_oracle():
             tuple(rng.choice([Sign.ZERO] * zeros + [Sign.PLUS, Sign.MINUS])
                   for _ in range(n)) for _ in range(n)))
         comps = reachability_components(P)
-        assert strong_components(digraph_of(P)) == comps
+        assert strong_components(P) == comps
         block = {v: c for c in comps for v in c}
         S = simplify(P)
         for i in range(n):
@@ -111,17 +107,14 @@ def test_simplify_examples():
 
 
 def test_simple_cycles():
-    G = digraph_of(cycle_pattern(4))
-    assert sorted(map(len, simple_cycles(G))) == [4]
-    G = digraph_of(parse_pattern("-+\n-0"))
-    assert sorted(map(len, simple_cycles(G))) == [1, 2]
+    assert sorted(map(len, simple_cycles(cycle_pattern(4)))) == [4]
+    assert sorted(map(len, simple_cycles(parse_pattern("-+\n-0")))) == [1, 2]
 
 
 def composite_orders_oracle(P):
     """Disjoint simple-cycle packing via subset DP (independent of minors)."""
-    G = digraph_of(P)
     masks = []
-    for cyc in simple_cycles(G):
+    for cyc in simple_cycles(P):
         m = 0
         for v in cyc:
             m |= 1 << v
@@ -138,20 +131,20 @@ def composite_orders_oracle(P):
 
 
 def test_cycle_report_examples():
-    rep = cycle_report(digraph_of(cycle_pattern(5)))
+    rep = cycle_report(cycle_pattern(5))
     assert rep.max_simple_cycle_length == 5
     assert rep.composite_cycle_orders == frozenset({5})
 
     two_paths = path_pattern(2, "both").direct_sum(path_pattern(2, "both"))
-    rep = cycle_report(digraph_of(two_paths))
+    rep = cycle_report(two_paths)
     assert rep.composite_cycle_orders == frozenset({1, 2, 3, 4})
 
     ref = parse_pattern("0-00\n+0+0\n000+\n+000")
-    assert cycle_report(digraph_of(ref)).max_simple_cycle_length == 4
+    assert cycle_report(ref).max_simple_cycle_length == 4
 
     with pytest.raises(ValueError):
-        cycle_report(digraph_of(ref), max_order=7)
-    limited = cycle_report(digraph_of(ref), max_order=2)
+        cycle_report(ref, max_order=7)
+    limited = cycle_report(ref, max_order=2)
     assert limited.composite_cycle_orders == frozenset({2})
 
 
@@ -162,7 +155,7 @@ def test_cycle_report_against_packing_oracle():
         P = SignPattern(tuple(
             tuple(rng.choice([Sign.ZERO, Sign.ZERO, Sign.PLUS, Sign.MINUS])
                   for _ in range(n)) for _ in range(n)))
-        rep = cycle_report(digraph_of(P))
+        rep = cycle_report(P)
         assert rep.composite_cycle_orders == composite_orders_oracle(P)
         # signed products match determinant term signs
         for k, signs in rep.signed_product_signs_by_order.items():
@@ -198,7 +191,7 @@ def test_cycle_report_equals_per_mask_reference():
             if seen:
                 want[k] = frozenset(seen)
         for max_order in range(n + 1):
-            rep = cycle_report(digraph_of(P), max_order)
+            rep = cycle_report(P, max_order)
             assert rep.signed_product_signs_by_order == \
                 {k: s for k, s in want.items() if k <= max_order}, (P.to_text(), max_order)
             assert rep.composite_cycle_orders == frozenset(k for k in want if k <= max_order)
@@ -207,12 +200,12 @@ def test_cycle_report_equals_per_mask_reference():
 def test_cycle_report_order_guard():
     # past DET_ORDER_GUARD the guard trips before any cycle or minor is read;
     # a low max_order still reports
-    G = digraph_of(cycle_pattern(DET_ORDER_GUARD + 1))
+    P = cycle_pattern(DET_ORDER_GUARD + 1)
     with pytest.raises(OrderGuardError):
-        cycle_report(G, max_order=DET_ORDER_GUARD + 1)
+        cycle_report(P, max_order=DET_ORDER_GUARD + 1)
     with pytest.raises(OrderGuardError):
-        cycle_report(G)
-    rep = cycle_report(G, max_order=3)
+        cycle_report(P)
+    rep = cycle_report(P, max_order=3)
     assert rep.max_simple_cycle_length == DET_ORDER_GUARD + 1
     assert rep.composite_cycle_orders == frozenset()
 
@@ -243,7 +236,7 @@ def test_semistable_consequences_exhaustive_order3():
         S = simplify(P)
         # every strong component of the simplified digraph is a ditree:
         # underlying edges within components form a forest
-        edges = SignedDigraph.of_pattern(S).underlying_edges()
+        edges = {(min(i, j), max(i, j)) for i, j in S.nonzero_positions() if i != j}
         assert len(edges) <= 2  # a forest on 3 vertices
         for k in range(1, 4):
             for m in subsets_of_size(3, k):
@@ -331,22 +324,22 @@ def test_stability_past_the_det_guard():
 
 
 def test_matching_number():
-    assert matching_number(digraph_of(path_pattern(4))) == 2
-    assert matching_number(digraph_of(star_pattern(5))) == 1
+    assert matching_number(path_pattern(4)) == 2
+    assert matching_number(star_pattern(5)) == 1
     pairs = path_pattern(2).direct_sum(path_pattern(2)).direct_sum(path_pattern(2))
-    assert matching_number(digraph_of(pairs)) == 3
-    assert matching_number(digraph_of(complete_pattern(4))) == 2
-    assert matching_number(digraph_of(SignPattern.zero(3))) == 0
+    assert matching_number(pairs) == 3
+    assert matching_number(complete_pattern(4)) == 2
+    assert matching_number(SignPattern.zero(3)) == 0
     # forests answer at every order, past MATCHING_ORDER_GUARD too; the
     # bigraph of a loopless doubly directed forest is two copies of it
     rng = random.Random(17)
     for n in range(1, 61):
         for _ in range(3):
             P = random_forest(rng, n, 0.85, 0.0)
-            assert 2 * matching_number(digraph_of(P)) == max_bipartite_matching(bigraph(P)), \
+            assert 2 * matching_number(P) == max_bipartite_matching(bigraph(P)), \
                 P.to_text()
     with pytest.raises(OrderGuardError):
-        matching_number(digraph_of(cycle_pattern(MATCHING_ORDER_GUARD + 1)))
+        matching_number(cycle_pattern(MATCHING_ORDER_GUARD + 1))
 
 
 def test_classify_cycle_sign_structure():
@@ -398,5 +391,5 @@ def test_irreducibility():
 
 
 def test_dot_export():
-    dot = digraph_of(parse_pattern("0+\n-0")).to_dot()
+    dot = to_dot(parse_pattern("0+\n-0"))
     assert "v0 -> v1" in dot and 'label="+"' in dot

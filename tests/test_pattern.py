@@ -264,3 +264,13 @@ def test_mask_helpers():
     assert mask_from([0, 2]) == 0b101
     assert mask_indices(0b1011) == (0, 1, 3)
     assert list(subsets_of_size(3, 2)) == [0b011, 0b101, 0b110]
+
+
+def test_mask_indices_matches_bit_scan():
+    rng = random.Random(60)
+    masks = [0, 1, 1 << 59, (1 << 60) - 1]
+    masks += [rng.getrandbits(w) for w in (4, 10, 20, 40, 60) for _ in range(50)]
+    # sparse 60-bit masks: a few set bits spread over the whole width
+    masks += [sum(1 << b for b in rng.sample(range(60), rng.randint(1, 5))) for _ in range(200)]
+    for m in masks:
+        assert mask_indices(m) == tuple(i for i in range(m.bit_length()) if m >> i & 1), m

@@ -548,6 +548,27 @@ def test_realize_has_no_assert_control_flow():
                     (path.name, node.lineno)
 
 
+def test_library_has_no_unused_imports():
+    # a name imported but never read is a stale dependency between modules
+    modules = sorted(Path(realize.__file__).parent.glob("*.py"))
+    assert len(modules) >= 8
+    for path in modules:
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for a in node.names:
+                    imported[a.asname or a.name.split(".")[0]] = node.lineno
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                for a in node.names:
+                    imported[a.asname or a.name] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused = sorted(set(imported) - used)
+        assert not unused, (path.name, unused)
+
+
 def test_scale_diagonal_to_one():
     M = RationalMatrix.from_rows([[1, 2], [2, 1]])
     assert scale_diagonal_to_one(M) == M
