@@ -13,18 +13,14 @@ from enum import Enum
 from math import prod
 from typing import Optional
 
-from .digraph import (
-    _is_forest,
-    all_cycle_products_negative,
-    is_sign_semi_stable,
-    matching_number,
-    simplify,
-)
+from .digraph import _is_forest, all_cycle_products_negative, is_sign_semi_stable, simplify
 from .pattern import (
     DET_ORDER_GUARD,
     OrderGuardError,
     SignPattern,
     _term_signs,
+    mask_from,
+    mask_indices,
     principal_term_signs,
     subsets_of_size,
 )
@@ -241,95 +237,38 @@ def _loop_product_bits(loop_signs: list[Sign], k: int) -> int:
     return bits
 
 
-def _directed_cycle_decomposition(P: SignPattern) -> Optional[tuple[list[Sign], Sign]]:
-    """(loop signs, signed product of the covering cycle) when the loopless
-    part is a single directed Hamiltonian cycle and nothing else."""
-    n = P.n
-    if n < 2:
-        return None
-    succ = [None] * n
-    for i in range(n):
-        outs = [j for j in range(n) if j != i and P.rows[i][j] is not Sign.ZERO]
-        if len(outs) != 1:
-            return None
-        succ[i] = outs[0]
-    seen = [0]
-    prod = Sign.PLUS
-    v = 0
-    for _ in range(n):
-        prod = prod * P.rows[v][succ[v]]
-        v = succ[v]
-        seen.append(v)
-    if v != 0 or len(set(seen[:-1])) != n:
-        return None
-    signed = prod if n % 2 == 1 else -prod
-    loops = [P.rows[i][i] for i in range(n) if P.rows[i][i] is not Sign.ZERO]
-    return loops, signed
+def _loopless_out(P: SignPattern) -> list[int]:
+    """Per vertex, the bitmask of its out-neighbours other than itself."""
+    return [mask_from(j for j, s in enumerate(row) if s is not Sign.ZERO and j != i)
+            for i, row in enumerate(P.rows)]
 
 
-def _doubly_directed_cycle(P: SignPattern) -> Optional[tuple[str, Sign]]:
-    """('skew'|'symmetric', product of one traversal) for a loopless doubly
-    directed cycle through all vertices; None otherwise."""
-    n = P.n
-    if n < 3:
-        return None
-    if any(P.rows[i][i] is not Sign.ZERO for i in range(n)):
-        return None
-    nbrs = [[j for j in range(n) if j != i and P.rows[i][j] is not Sign.ZERO] for i in range(n)]
-    for i in range(n):
-        if len(nbrs[i]) != 2 or any(P.rows[j][i] is Sign.ZERO for j in nbrs[i]):
-            return None
-    order = [0, nbrs[0][0]]
-    while len(order) < n:
-        a, b = order[-2], order[-1]
-        nxt = [j for j in nbrs[b] if j != a]
-        if len(nxt) != 1:
-            return None
-        order.append(nxt[0])
-    if order[0] not in nbrs[order[-1]] or len(set(order)) != n:
-        return None
-    kinds = {
-        (True, False): "skew",
-        (False, True): "symmetric",
-    }
-    is_skew = all(P.rows[i][j] == -P.rows[j][i] for i in range(n) for j in range(i + 1, n)
-                  if P.rows[i][j] is not Sign.ZERO)
-    is_sym = all(P.rows[i][j] == P.rows[j][i] for i in range(n) for j in range(i + 1, n)
-                 if P.rows[i][j] is not Sign.ZERO)
-    kind = kinds.get((is_skew, is_sym))
-    if kind is None:
-        return None
-    prod = Sign.PLUS
-    for a, b in zip(order, order[1:] + order[:1]):
-        prod = prod * P.rows[a][b]
-    return kind, prod
-
-
-def _is_strong_ditree(P: SignPattern) -> bool:
-    n = P.n
+def _doubled_edges(out: list[int]) -> Optional[list[tuple[int, int]]]:
+    """The edges (i, j), i < j, when the masks equal their transpose; None otherwise."""
     edges = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            a, b = P.rows[i][j], P.rows[j][i]
-            if (a is Sign.ZERO) != (b is Sign.ZERO):
-                return False  # a single arc breaks double direction
-            if a is not Sign.ZERO:
+    for i, m in enumerate(out):
+        for j in mask_indices(m):
+            if not out[j] >> i & 1:
+                return None
+            if i < j:
                 edges.append((i, j))
-    return len(edges) == n - 1 and _is_forest(n, tuple(edges))
+    return edges
 
 
-def _matching_sequence(n: int, m: int) -> tuple[SeprSymbol, ...]:
-    """Sequence of an order-n zero-diagonal semi-stable pattern whose
-    simplified digraph has matching number m."""
-    terms = []
-    for k in range(1, n + 1):
-        if k == n:
-            terms.append(SeprSymbol.AP if 2 * m == n else SeprSymbol.N)
-        elif k % 2 == 0 and k <= 2 * m:
-            terms.append(SeprSymbol.SP)
-        else:
-            terms.append(SeprSymbol.N)
-    return tuple(terms)
+def _hamiltonian_walk(P: SignPattern, out: list[int], doubly: bool) -> Optional[Sign]:
+    """Product of the walk from vertex 0 that steps to the lowest out-neighbour,
+    never straight back when `doubly`; None unless it first returns to 0 after
+    exactly n steps."""
+    v, back, product = 0, 0, Sign.PLUS
+    for step in range(1, P.n + 1):
+        ahead = out[v] & ~back
+        w = (ahead & -ahead).bit_length() - 1
+        product = product * P.rows[v][w]
+        if w == 0:
+            return product if step == P.n else None
+        back = 1 << v if doubly else 0
+        v = w
+    return None
 
 
 def _fixed_or_raise(P: SignPattern, rule: str) -> SeprSequence:
@@ -344,62 +283,50 @@ def predicted_sepr(P: SignPattern) -> Optional[PredictedSepr]:
 
     Rules, in order: a directed n-cycle (optionally with loops), a loopless
     skew or symmetric doubly directed cycle, a strong ditree with at most
-    one loop, all cycle products negative, and a semi-stable pattern with
-    zero diagonal.  Returns None when no rule applies.
+    one loop, and all cycle products negative.  Returns None when no rule
+    applies.
     """
     n = P.n
-    N, AP, AM, SP = SeprSymbol.N, SeprSymbol.AP, SeprSymbol.AM, SeprSymbol.SP
+    N, AP, AM, SM, SP = SeprSymbol.N, SeprSymbol.AP, SeprSymbol.AM, SeprSymbol.SM, SeprSymbol.SP
+    out = _loopless_out(P)
+    degrees = [m.bit_count() for m in out]
+    loops = [P.rows[i][i] for i in range(n) if P.rows[i][i] is not Sign.ZERO]
+    l = len(loops)
 
-    cyc = _directed_cycle_decomposition(P)
-    if cyc is not None:
-        loops, signed = cyc
-        x = AP if signed is Sign.PLUS else AM
-        l = len(loops)
-        if l == 0:
-            return PredictedSepr(SeprSequence((N,) * (n - 1) + (x,)), "n-cycle")
-        if l < n:
-            terms = []
-            for k in range(1, n):
-                terms.append(SeprSymbol.from_sign_mask(4 | _loop_product_bits(loops, k))
-                             if k <= l else N)
-            return PredictedSepr(SeprSequence(tuple(terms) + (x,)), "n-cycle-with-loops")
-        loop_prod = Sign.PLUS
-        for s in loops:
-            loop_prod = loop_prod * s
-        if loop_prod is signed:
-            terms = [SeprSymbol.from_sign_mask(_loop_product_bits(loops, k))
-                     for k in range(1, n)]
-            return PredictedSepr(SeprSequence(tuple(terms) + (x,)), "n-cycle-all-loops")
-        return None
+    if all(d == 1 for d in degrees) and (cyc := _hamiltonian_walk(P, out, False)) is not None:
+        signed = cyc if n % 2 else -cyc
+        if l == n and prod(loops, start=Sign.PLUS) is not signed:
+            return None
+        terms = [SeprSymbol.from_sign_mask((4 if l < n else 0) | _loop_product_bits(loops, k))
+                 if k <= l else N for k in range(1, n)]
+        rule = "n-cycle" if l == 0 else "n-cycle-with-loops" if l < n else "n-cycle-all-loops"
+        return PredictedSepr(SeprSequence((*terms, AP if signed is Sign.PLUS else AM)), rule)
 
-    dd = _doubly_directed_cycle(P)
-    if dd is not None:
-        kind, prod = dd
-        if kind == "skew" and n % 2 == 0 and prod is Sign.MINUS:
-            s = n // 2
-            seq = (N, SP) * (s - 1) + (N, AP)
-            return PredictedSepr(SeprSequence(seq), "skew-doubly-directed-cycle")
-        if kind == "symmetric" and n % 2 == 1:
-            s = (n - 1) // 2
-            x = AP if prod is Sign.PLUS else AM
-            if s % 2 == 0:
-                seq = (N, SeprSymbol.SM, N, SP) * ((s - 2) // 2) + (N, SeprSymbol.SM, N, AP, x)
-            else:
-                seq = (N, SeprSymbol.SM, N, SP) * ((s - 1) // 2) + (N, AM, x)
-            return PredictedSepr(SeprSequence(seq), "symmetric-doubly-directed-cycle")
-        return None
+    if (not loops and all(d == 2 for d in degrees)
+            and (edges := _doubled_edges(out)) is not None):
+        cyc = _hamiltonian_walk(P, out, True)
+        same = {P.rows[i][j] is P.rows[j][i] for i, j in edges}
+        if cyc is not None and len(same) == 1:
+            if same == {False} and n % 2 == 0 and cyc is Sign.MINUS:
+                seq = (N, SP) * (n // 2 - 1) + (N, AP)
+                return PredictedSepr(SeprSequence(seq), "skew-doubly-directed-cycle")
+            if same == {True} and n % 2:
+                s = (n - 1) // 2
+                x = AP if cyc is Sign.PLUS else AM
+                if s % 2 == 0:
+                    seq = (N, SM, N, SP) * ((s - 2) // 2) + (N, SM, N, AP, x)
+                else:
+                    seq = (N, SM, N, SP) * ((s - 1) // 2) + (N, AM, x)
+                return PredictedSepr(SeprSequence(seq), "symmetric-doubly-directed-cycle")
+            return None
 
-    if _is_strong_ditree(P) and sum(1 for i in range(n) if P.rows[i][i] is not Sign.ZERO) <= 1:
+    if (l <= 1 and sum(degrees) == 2 * (n - 1)
+            and (edges := _doubled_edges(out)) is not None and _is_forest(n, edges)):
         return PredictedSepr(_fixed_or_raise(P, "strong-ditree"), "strong-ditree")
 
     if all_cycle_products_negative(P):
         return PredictedSepr(_fixed_or_raise(P, "all-cycle-products-negative"),
                              "all-cycle-products-negative")
-
-    if P.has_zero_diagonal() and is_sign_semi_stable(P):
-        m = matching_number(simplify(P))
-        return PredictedSepr(SeprSequence(_matching_sequence(n, m)), "semistable-zero-diagonal")
-
     return None
 
 
@@ -492,8 +419,7 @@ def add_cycle_witness(P: SignPattern) -> SignPattern:
     if not is_sign_semi_stable(P):
         raise ValueError("pattern is not sign semi-stable")
     n = P.n
-    adj = [[j for j in range(n) if j != i and P.rows[i][j] is not Sign.ZERO]
-           for i in range(n)]
+    adj = [mask_indices(m) for m in _loopless_out(P)]
     for u in range(n):
         for v in adj[u]:
             for x in adj[v]:

@@ -22,7 +22,6 @@ import numpy as np
 from .analysis import (
     TheoremContradiction,
     UniqueStatus,
-    _matching_sequence,
     add_cycle_witness,
     check_semistable_laws,
     classify_symmetric_nonneg_unique,
@@ -606,8 +605,22 @@ def _broom_ditree(n: int, m: int) -> SignPattern:
     return SignPattern(tuple(tuple(r) for r in rows))
 
 
-def verify_semistable_suite(n_max: int = 5, seed: int = 0) -> VerificationReport:
-    """Structure of semi-stable sepr-sequences at orders <= n_max.
+def _matching_sequence(n: int, m: int) -> tuple[SeprSymbol, ...]:
+    """Sequence of an order-n zero-diagonal semi-stable pattern whose
+    simplified digraph has matching number m."""
+    terms = []
+    for k in range(1, n + 1):
+        if k == n:
+            terms.append(SeprSymbol.AP if 2 * m == n else SeprSymbol.N)
+        elif k % 2 == 0 and k <= 2 * m:
+            terms.append(SeprSymbol.SP)
+        else:
+            terms.append(SeprSymbol.N)
+    return tuple(terms)
+
+
+def verify_semistable_suite(seed: int = 0) -> VerificationReport:
+    """Structure of semi-stable sepr-sequences at orders <= 5.
 
     Enumerates the simplified semi-stable patterns, checks every sequence
     against the structural laws and the recognizability criterion, checks
@@ -616,15 +629,12 @@ def verify_semistable_suite(n_max: int = 5, seed: int = 0) -> VerificationReport
     closing a cycle preserves the sepr-set.
     """
     t0 = time.time()
-    if not 1 <= n_max <= 5:
-        return VerificationReport("semistable-suite", "skipped",
-                                  "defined for n_max <= 5", {}, None, time.time() - t0)
     failures: list[dict] = []
     counts: dict = {}
     recognizable = 0
     total = 0
     sampled = 0
-    for n in range(1, n_max + 1):
+    for n in range(1, 6):
         for P in simplified_semistable_patterns(n):
             total += 1
             seq = semistable_sequence(P)
@@ -655,7 +665,7 @@ def verify_semistable_suite(n_max: int = 5, seed: int = 0) -> VerificationReport
     counts["deep-checked"] = sampled
     counts["recognizable-from-sequence"] = recognizable
 
-    for k in range(2, n_max + 1):
+    for k in range(2, 6):
         for center_loop in (False, True):
             P = star_pattern(k, "center" if center_loop else "none")
             got = str(semistable_sequence(P))
@@ -663,41 +673,40 @@ def verify_semistable_suite(n_max: int = 5, seed: int = 0) -> VerificationReport
             if got != want:
                 failures.append({"star": k, "loop": center_loop, "got": got, "want": want})
 
-    if n_max >= 4:
-        for label, parts, want in _SMALL_GROUPS:
-            P = None
-            for size, loops in parts:
-                piece = path_pattern(size, loops) if size > 1 else (
-                    SignPattern.from_rows([[-1]]) if loops == "one" else SignPattern.zero(1)
-                )
-                P = piece if P is None else P.direct_sum(piece)
-            if not is_sign_semi_stable(P):
-                failures.append({"group": label, "not-semi-stable": P.to_json()["rows"]})
-                continue
-            got = str(semistable_sequence(P))
-            if got != want:
-                failures.append({"group": label, "got": got, "want": want})
+    for label, parts, want in _SMALL_GROUPS:
+        P = None
+        for size, loops in parts:
+            piece = path_pattern(size, loops) if size > 1 else (
+                SignPattern.from_rows([[-1]]) if loops == "one" else SignPattern.zero(1)
+            )
+            P = piece if P is None else P.direct_sum(piece)
+        if not is_sign_semi_stable(P):
+            failures.append({"group": label, "not-semi-stable": P.to_json()["rows"]})
+            continue
+        got = str(semistable_sequence(P))
+        if got != want:
+            failures.append({"group": label, "got": got, "want": want})
 
-        # closing a cycle keeps the sepr-set
-        for base in (path_pattern(4), path_pattern(3, "one")):
-            w = add_cycle_witness(base)
-            if is_sign_semi_stable(w):
-                failures.append({"add-cycle": "result still semi-stable"})
-            if fixed_sequence(w) != fixed_sequence(base):
-                failures.append({"add-cycle": "sequence changed",
-                                 "base": base.to_json()["rows"]})
-            a = set(map(str, sweep_sepr_table(base, budget=10**5, seed=seed)))
-            b = set(map(str, sweep_sepr_table(w, budget=10**5, seed=seed)))
-            if a != b:
-                failures.append({"add-cycle": "grid sepr-sets differ",
-                                 "base": sorted(a), "witness": sorted(b)})
-        if not semistability_recognizable(path_pattern(2)):
-            failures.append({"recognizable": "2-path should be recognizable"})
-        if semistability_recognizable(path_pattern(4)):
-            failures.append({"recognizable": "4-path sequence is also a cycle's"})
+    # closing a cycle keeps the sepr-set
+    for base in (path_pattern(4), path_pattern(3, "one")):
+        w = add_cycle_witness(base)
+        if is_sign_semi_stable(w):
+            failures.append({"add-cycle": "result still semi-stable"})
+        if fixed_sequence(w) != fixed_sequence(base):
+            failures.append({"add-cycle": "sequence changed",
+                             "base": base.to_json()["rows"]})
+        a = set(map(str, sweep_sepr_table(base, budget=10**5, seed=seed)))
+        b = set(map(str, sweep_sepr_table(w, budget=10**5, seed=seed)))
+        if a != b:
+            failures.append({"add-cycle": "grid sepr-sets differ",
+                             "base": sorted(a), "witness": sorted(b)})
+    if not semistability_recognizable(path_pattern(2)):
+        failures.append({"recognizable": "2-path should be recognizable"})
+    if semistability_recognizable(path_pattern(4)):
+        failures.append({"recognizable": "4-path sequence is also a cycle's"})
 
     ladder = 0
-    for n in range(1, n_max + 1):
+    for n in range(1, 6):
         for m in range(0, n // 2 + 1):
             P = _broom_ditree(n, m)
             if not is_sign_semi_stable(P):
@@ -712,14 +721,13 @@ def verify_semistable_suite(n_max: int = 5, seed: int = 0) -> VerificationReport
             ladder += 1
     counts["ladder-sequences"] = ladder
 
-    if n_max >= 5:
-        P5 = SignPattern.parse(_STABLE_PAIR[0])
-        Q5 = SignPattern.parse(_STABLE_PAIR[1])
-        s_p, s_q = fixed_sequence(P5), fixed_sequence(Q5)
-        if str(s_p) != "S-S+S-S+A-" or s_p != s_q:
-            failures.append({"shared-sequence-pair": [str(s_p), str(s_q)]})
-        if not (is_sign_stable_irreducible(P5) and not is_sign_stable_irreducible(Q5)):
-            failures.append({"stability-pair": "stability test failed to distinguish"})
+    P5 = SignPattern.parse(_STABLE_PAIR[0])
+    Q5 = SignPattern.parse(_STABLE_PAIR[1])
+    s_p, s_q = fixed_sequence(P5), fixed_sequence(Q5)
+    if str(s_p) != "S-S+S-S+A-" or s_p != s_q:
+        failures.append({"shared-sequence-pair": [str(s_p), str(s_q)]})
+    if not (is_sign_stable_irreducible(P5) and not is_sign_stable_irreducible(Q5)):
+        failures.append({"stability-pair": "stability test failed to distinguish"})
     return _report("semistable-suite", t0, failures, counts,
                    "laws, families, ladder, and stability pair verified")
 
@@ -835,6 +843,6 @@ def run_all_verifications(seed: int = 0, budget: int = 10**6) -> list[Verificati
         verify_unique_iff_determined(3, seed=seed),
         verify_unique_iff_determined(4, seed=seed),
         verify_symmetric_nonneg_unique(4, seed=seed),
-        verify_semistable_suite(5, seed=seed),
+        verify_semistable_suite(seed=seed),
     ]
     return reports

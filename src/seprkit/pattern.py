@@ -306,9 +306,16 @@ def _first_terms(
     return found
 
 
+def _check_masks(P: SignPattern, *masks: int) -> None:
+    """Raise ValueError unless every mask is an index set of P's rows."""
+    if any(m < 0 or m >> P.n for m in masks):
+        raise ValueError("index set outside the pattern")
+
+
 def signed_det_masked(P: SignPattern, rows_mask: int, cols_mask: int | None = None) -> DetSummary:
     """Signed determinant of P[rows_mask, cols_mask] without building the subpattern."""
     cols_mask = rows_mask if cols_mask is None else cols_mask
+    _check_masks(P, rows_mask, cols_mask)
     k = rows_mask.bit_count()
     if k != cols_mask.bit_count():
         raise ValueError("determinant needs equal-size row and column sets")

@@ -40,6 +40,7 @@ import numpy as np
 from .pattern import (
     OrderGuardError,
     SignPattern,
+    _check_masks,
     _first_terms,
     _term_signs,
     mask_indices,
@@ -576,6 +577,7 @@ def dominated_realization(P: SignPattern, mask: int, target: Sign) -> Optional[R
     """
     if target is Sign.ZERO:
         raise ValueError("use zero_minor_realization for a zero target")
+    _check_masks(P, mask)
     idx = mask_indices(mask)
     picks = _first_terms(P.rows, idx, idx).get(target)
     if picks is None:

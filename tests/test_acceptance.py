@@ -121,7 +121,7 @@ def test_criterion_5_order3_catalog():
 
 def test_criterion_6_semistable_suite():
     t0 = time.time()
-    rep = verify_semistable_suite(5)
+    rep = verify_semistable_suite()
     assert rep.passed, rep.to_json()
     assert rep.counts["semistable-patterns"] == 101974
     elapsed = time.time() - t0

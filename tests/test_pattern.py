@@ -23,7 +23,12 @@ from seprkit.pattern import (
     subpattern,
     subsets_of_size,
 )
-from seprkit.realize import dominated_realization, grid_realizations, MagnitudeGrid
+from seprkit.realize import (
+    MagnitudeGrid,
+    dominated_realization,
+    grid_realizations,
+    zero_minor_realization,
+)
 from seprkit.signs import AmbSign, Sign
 
 
@@ -274,3 +279,20 @@ def test_mask_indices_matches_bit_scan():
     masks += [sum(1 << b for b in rng.sample(range(60), rng.randint(1, 5))) for _ in range(200)]
     for m in masks:
         assert mask_indices(m) == tuple(i for i in range(m.bit_length()) if m >> i & 1), m
+
+
+def test_masks_outside_the_pattern_raise_value_error():
+    P = parse_pattern("++0\n-+-\n0-+")
+    calls = [
+        lambda: signed_det_masked(P, 0b1000),
+        lambda: signed_det_masked(P, 0b0110, 0b1100),
+        lambda: signed_det_masked(P, -1),
+        lambda: dominated_realization(P, 0b1010, Sign.PLUS),
+        lambda: zero_minor_realization(P, 0b1010),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="index set outside the pattern"):
+            call()
+    # the highest in-range bit is accepted
+    assert signed_det_masked(P, 0b110).value is AmbSign.AMBIGUOUS
+    assert signed_det_masked(P, 0b100, 0b010).value is AmbSign.MINUS
