@@ -18,6 +18,7 @@ from .pattern import (
     DET_ORDER_GUARD,
     OrderGuardError,
     SignPattern,
+    _principal_table,
     _term_signs,
     mask_from,
     mask_indices,
@@ -28,8 +29,8 @@ from .realize import (
     ALLNONZERO_ORDER_GUARD,
     MagnitudeGrid,
     RationalMatrix,
+    _witness_search,
     allnonzero_realization,
-    distinct_sepr_search,
     sepr_of_matrix,
     sweep_sepr_table,
 )
@@ -145,17 +146,21 @@ def unique_verdict(P: SignPattern, search_budget: int = 4000,
     """Uniqueness of the sepr-set.
 
     Every position fixed gives a definite yes with the sequence.  Otherwise
-    a deterministic search hunts for two realizations with different
-    sequences.  Unfixed positions with no witnesses found are reported as
-    pending at order <= 4 (uniqueness without all-fixed cannot happen
-    there, so the search grid was too small) and as undecided beyond.
+    a deterministic search (`distinct_sepr_search`) hunts for two
+    realizations with different sequences; it reads the sign-determined
+    minors from the principal term-sign table the term verdicts were read
+    from, built once per call.  Unfixed positions with no witnesses found
+    are reported as pending at order <= 4 (uniqueness without all-fixed
+    cannot happen there, so the search grid was too small) and as
+    undecided beyond.
     """
-    verdicts = term_verdicts(P)
+    signs, memo = _principal_table(P)
+    verdicts = tuple(_term_verdict(P.n, k, signs) for k in range(1, P.n + 1))
     if all(v.fixed for v in verdicts):
         seq = SeprSequence(tuple(v.symbol for v in verdicts))
         return UniqueVerdict(UniqueStatus.UNIQUE_BY_FIXED_TERMS, seq, verdicts)
-    found = distinct_sepr_search(P, [m for v in verdicts for m in v.ambiguous_masks],
-                                 budget=search_budget, seed=seed, grid=grid)
+    found = _witness_search(P, [m for v in verdicts for m in v.ambiguous_masks],
+                            search_budget, seed, grid, signs, memo)
     if found is not None:
         return UniqueVerdict(UniqueStatus.NOT_UNIQUE, None, verdicts, found)
     if P.n <= 4:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .signs import AmbSign, Sign
 
@@ -44,6 +44,8 @@ def mask_from(indices: Iterable[int]) -> int:
 
 
 def mask_indices(mask: int) -> tuple[int, ...]:
+    if mask < 0:
+        raise ValueError("index set outside the pattern")
     out = []
     while mask:
         low = mask & -mask
@@ -186,7 +188,8 @@ class SignPattern:
         return self.submatrix(idx, idx)
 
     def complement_principal(self, mask: int) -> "SignPattern":
-        return self.principal(full_mask(self.n) & ~mask)
+        # mask_indices rejects a negative mask, which ~mask would turn into a small set
+        return self.principal(full_mask(self.n) & ~mask_from(mask_indices(mask)))
 
 
 def parse_pattern(text: str) -> SignPattern:
@@ -267,6 +270,7 @@ def _first_terms(
     rows: Sequence[Sequence[Sign]],
     row_idx: Sequence[int],
     col_idx: Sequence[int],
+    memo: Optional[dict] = None,
 ) -> dict[Sign, list[int]]:
     """First nonzero permutation term of each sign of det P[row_idx, col_idx].
 
@@ -274,9 +278,10 @@ def _first_terms(
     that sign, given as the position in `col_idx` picked in each row (both
     index sequences ascend).  A greedy walk over the rows: each takes the
     first free column whose remaining minor, read from the `_term_signs`
-    memo, still has a term of the sign the running product needs.
+    memo (`memo` when given, shared with other calls on the same rows),
+    still has a term of the sign the running product needs.
     """
-    memo: dict = {}
+    memo = {} if memo is None else memo
     R, C = mask_from(row_idx), mask_from(col_idx)
     found: dict[Sign, list[int]] = {}
     signs = _term_signs(rows, memo, R, C)
@@ -340,11 +345,16 @@ def principal_term_signs(P: SignPattern) -> list[int]:
 
     All 2**n masks share one `_term_signs` memo.
     """
+    return _principal_table(P)[0]
+
+
+def _principal_table(P: SignPattern) -> tuple[list[int], dict]:
+    """`principal_term_signs` and the `_term_signs` memo that built it."""
     n = P.n
     if n > DET_ORDER_GUARD:
         raise OrderGuardError(f"signed determinant limited to order {DET_ORDER_GUARD}")
     memo: dict = {}
-    return [_term_signs(P.rows, memo, m, m) for m in range(1 << n)]
+    return [_term_signs(P.rows, memo, m, m) for m in range(1 << n)], memo
 
 
 def is_ambiguous(P: SignPattern) -> bool:

@@ -14,8 +14,9 @@ nearest nonzero ancestor).  Term signs come from the pattern module's one
 recursion; the all-nonzero walk asks it only about zero minors that have
 a term.  Alongside the plain grid sweep the module provides targeted
 constructors (dominate a chosen term, hit an exact zero of an ambiguous
-minor, make all ambiguous minors nonzero) that the analysis layer uses to
-separate sepr-sequences.
+minor, make all ambiguous minors nonzero).  The witness search tries them
+as integer rows to separate sepr-sequences, reading each sign-determined
+minor's sign from the principal term-sign table.
 
 The grid sweep evaluates all principal minors of a batch of realizations
 at once, in int64, by one shared Laplace recursion over minors.  It runs
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, islice
 from math import factorial, isqrt, lcm
 from typing import Iterator, Optional, Sequence
 
@@ -42,6 +43,7 @@ from .pattern import (
     SignPattern,
     _check_masks,
     _first_terms,
+    _principal_table,
     _term_signs,
     mask_indices,
     signed_det_masked,
@@ -192,6 +194,16 @@ def _int_row(row: Sequence[Fraction]) -> tuple[int, list[int]]:
 
 def _int_rows(B: RationalMatrix) -> list[list[int]]:
     return [_int_row(row)[1] for row in B.rows]
+
+
+_SMALL_FRACTIONS = {k: Fraction(k) for k in range(-256, 257)}  # shared: Fractions are immutable
+
+
+def _rational(rows: Sequence[Sequence[int]], dens: Sequence[int]) -> RationalMatrix:
+    """The matrix of rows[i] / dens[i]; small whole entries reuse one Fraction each."""
+    return RationalMatrix(tuple(tuple(_SMALL_FRACTIONS[x] if q == 1 and x in _SMALL_FRACTIONS
+                                      else Fraction(x, q) for x in row)
+                                for row, q in zip(rows, dens)))
 
 
 def _det(rows: Sequence[Sequence[int]], ridx: Sequence[int], cidx: Sequence[int]) -> int:
@@ -566,6 +578,51 @@ def ones_realization(P: SignPattern) -> RationalMatrix:
     return RationalMatrix.from_rows([[int(s) for s in row] for row in P.rows])
 
 
+def _targeted(P: SignPattern, idx: Sequence[int],
+              memo: dict) -> Iterator[tuple[Sign, list[list[int]], list[int]]]:
+    """(target, integer rows, positive row denominators) of what dominated_realization
+    (+, then -) and zero_minor_realization make for the minor on `idx`, the zero
+    walk starting from the two dominated rows; `memo` is a `_term_signs` memo."""
+    unit, whole = [[int(s) for s in row] for row in P.rows], [1] * P.n
+    terms = _first_terms(P.rows, idx, idx, memo)
+    if not terms:
+        yield Sign.ZERO, unit, whole
+    dominated = {}
+    for target, picks in terms.items():  # + before -
+        w = 4
+        while True:
+            rows = [row[:] for row in unit]
+            for i, p in zip(idx, picks):
+                rows[i][idx[p]] *= w
+            if Sign.of(_det(rows, idx, idx)) is target:
+                break
+            if w * w >= factorial(len(idx)):
+                raise RealizationError("a dominating term did not fix the minor's sign")
+            w *= 4
+        dominated[target] = rows
+        yield target, rows, whole
+    if len(dominated) < 2:
+        return
+    cur, new_rows = [row[:] for row in dominated[Sign.MINUS]], dominated[Sign.PLUS]
+    d_cur = _det(cur, idx, idx)  # negative until the walk reaches 0
+    for i in idx:
+        for j in idx:
+            new, old = new_rows[i][j], cur[i][j]
+            if new == old:
+                continue
+            cur[i][j] = new
+            d_new = _det(cur, idx, idx)
+            if d_new >= 0:
+                # the zero lies in (old, new], so the entry sign is valid
+                cur[i][j] = old - Fraction(d_cur * (new - old), d_new - d_cur)
+                dens = whole[:]
+                dens[i], cur[i] = _int_row(cur[i])
+                yield Sign.ZERO, cur, dens
+                return
+            d_cur = d_new
+    raise RealizationError("sign never flipped walking between dominated realizations")
+
+
 def dominated_realization(P: SignPattern, mask: int, target: Sign) -> Optional[RationalMatrix]:
     """Realization whose minor on `mask` provably has sign `target`.
 
@@ -578,20 +635,8 @@ def dominated_realization(P: SignPattern, mask: int, target: Sign) -> Optional[R
     if target is Sign.ZERO:
         raise ValueError("use zero_minor_realization for a zero target")
     _check_masks(P, mask)
-    idx = mask_indices(mask)
-    picks = _first_terms(P.rows, idx, idx).get(target)
-    if picks is None:
-        return None
-    w = 4
-    while True:
-        rows = [[int(s) for s in row] for row in P.rows]
-        for i, p in zip(idx, picks):
-            rows[i][idx[p]] *= w
-        if Sign.of(_det(rows, idx, idx)) is target:
-            return RationalMatrix.from_rows(rows)
-        if w * w >= factorial(len(idx)):
-            raise RealizationError("a dominating term did not fix the minor's sign")
-        w *= 4
+    return next((RationalMatrix.from_rows(rows) for sign, rows, _ in
+                 _targeted(P, mask_indices(mask), {}) if sign is target), None)
 
 
 def zero_minor_realization(P: SignPattern, mask: int) -> Optional[RationalMatrix]:
@@ -602,33 +647,12 @@ def zero_minor_realization(P: SignPattern, mask: int) -> Optional[RationalMatrix
     each entry, so the crossing yields an exact rational zero with a valid
     entry sign.
     """
-    d = signed_det_masked(P, mask)
-    if d.value is AmbSign.ZERO:
-        return ones_realization(P)
-    if d.value is not AmbSign.AMBIGUOUS:
+    if signed_det_masked(P, mask).value not in (AmbSign.ZERO, AmbSign.AMBIGUOUS):
         return None
-    Bm = dominated_realization(P, mask, Sign.MINUS)
-    Bp = dominated_realization(P, mask, Sign.PLUS)
-    if Bm is None or Bp is None:
-        raise RealizationError("no dominated realization of an ambiguous minor")
-    cur, new_rows = ([[int(x) for x in row] for row in B.rows] for B in (Bm, Bp))
-    idx = mask_indices(mask)
-    d_cur = _det(cur, idx, idx)
-    for i in idx:
-        for j in idx:
-            new, old = new_rows[i][j], cur[i][j]
-            if new == old:
-                continue
-            cur[i][j] = new
-            d_new = _det(cur, idx, idx)
-            if d_new == 0:
-                return RationalMatrix.from_rows(cur)
-            if (d_new > 0) != (d_cur > 0):
-                # strictly between old and new, so the entry sign is valid
-                cur[i][j] = old - Fraction(d_cur * (new - old), d_new - d_cur)
-                return RationalMatrix.from_rows(cur)
-            d_cur = d_new
-    raise RealizationError("sign never flipped walking between dominated realizations")
+    for sign, rows, dens in _targeted(P, mask_indices(mask), {}):
+        if sign is Sign.ZERO:
+            return _rational(rows, dens)
+    raise RealizationError("no dominated realization of an ambiguous minor")
 
 
 def distinct_sepr_search(P: SignPattern, ambiguous_masks: Sequence[int], budget: int = 4000,
@@ -641,33 +665,60 @@ def distinct_sepr_search(P: SignPattern, ambiguous_masks: Sequence[int], budget:
     Candidates: the all-unit realization, targeted realizations for the
     first 24 ambiguous minors (dominated +, dominated -, exact zero), the
     realization with all ambiguous minors nonzero, then grid samples up to
-    the budget.
+    the budget.  Each candidate (integer rows) reads every sign-determined
+    principal minor (one whose terms share a sign) from the principal
+    term-sign table, built here, and evaluates only the ambiguous ones.
     """
+    if P.n > SEPR_ORDER_GUARD:
+        raise OrderGuardError(f"sepr computation limited to order {SEPR_ORDER_GUARD}")
+    _check_masks(P, *ambiguous_masks[:24])
+    return _witness_search(P, ambiguous_masks, budget, seed, grid, *_principal_table(P))
+
+
+def _witness_search(P: SignPattern, ambiguous_masks: Sequence[int], budget: int, seed: int,
+                    grid: Optional[MagnitudeGrid], signs: list[int], memo: dict,
+                    ) -> Optional[tuple[RationalMatrix, SeprSequence, RationalMatrix, SeprSequence]]:
+    """distinct_sepr_search on P's principal term-sign table `signs` and the
+    memo that built it; only the two witnesses returned become RationalMatrix."""
     n = P.n
+    if n > SEPR_ORDER_GUARD:
+        raise OrderGuardError(f"sepr computation limited to order {SEPR_ORDER_GUARD}")
+    fixed, ambiguous = [0] * n, []  # by order - 1: sign bits (1 +, 2 -, 4 zero) of the rest
+    for m in range(1, 1 << n):
+        if signs[m] == 3:
+            ambiguous.append((m.bit_count() - 1, mask_indices(m)))
+        else:
+            fixed[m.bit_count() - 1] |= signs[m] or 4
 
-    def candidates() -> Iterator[RationalMatrix]:
-        yield ones_realization(P)
+    def candidates() -> Iterator[tuple[list[list[int]], list[int]]]:
+        yield [[int(s) for s in row] for row in P.rows], [1] * n
         for mask in ambiguous_masks[:24]:
-            for target in (Sign.PLUS, Sign.MINUS):
-                B = dominated_realization(P, mask, target)
-                if B is not None:
-                    yield B
-            z = zero_minor_realization(P, mask)
-            if z is not None:
-                yield z
+            for _, rows, dens in _targeted(P, mask_indices(mask), memo):
+                yield rows, dens
         if n <= ALLNONZERO_ORDER_GUARD:
-            yield allnonzero_realization(P)
-        yield from grid_realizations(P, grid, budget, seed)
+            yield _allnonzero_rows(P, memo)
+        g = grid or MagnitudeGrid.default()
+        vals, mult = g.int_scaled(), lcm(*(v.denominator for v in g.values))
+        positions = P.nonzero_positions()
+        for batch in _digit_batches(len(vals), len(positions), budget, seed, g.canonical_digit()):
+            for digits in batch.tolist():
+                rows = [[0] * n for _ in range(n)]
+                for (i, j), d in zip(positions, digits):
+                    rows[i][j] = vals[d] if P.rows[i][j] is Sign.PLUS else -vals[d]
+                yield rows, [mult] * n
 
-    seen: dict[SeprSequence, RationalMatrix] = {}
-    for count, B in enumerate(candidates()):
-        if count >= budget:
-            break
-        s = sepr_of_matrix(B)
-        if seen and s not in seen:
-            s0, B0 = next(iter(seen.items()))
-            return B0, s0, B, s
-        seen.setdefault(s, B)
+    first = None
+    for rows, dens in islice(candidates(), max(budget, 0)):
+        bits = fixed[:]
+        for k, idx in ambiguous:
+            if bits[k] != 7:  # an order is done once it shows +, - and 0
+                d = _det(rows, idx, idx)
+                bits[k] |= 1 if d > 0 else (2 if d < 0 else 4)
+        if first is None:
+            first = bits, rows, dens
+        elif bits != first[0]:
+            return (_rational(first[1], first[2]), sepr_sequence_of_minor_signs(first[0]),
+                    _rational(rows, dens), sepr_sequence_of_minor_signs(bits))
     return None
 
 
@@ -717,13 +768,18 @@ def allnonzero_realization(P: SignPattern) -> RationalMatrix:
     through (u, v) moves by step * L[u] times its signed cofactor, which
     lacks row u; none else moves.
     """
-    n = P.n
-    if n > ALLNONZERO_ORDER_GUARD:
+    if P.n > ALLNONZERO_ORDER_GUARD:
         raise OrderGuardError(f"limited to order {ALLNONZERO_ORDER_GUARD}")
+    return _rational(*_allnonzero_rows(P, {}))
+
+
+def _allnonzero_rows(P: SignPattern, memo: dict) -> tuple[list[list[int]], list[int]]:
+    """The walk of allnonzero_realization: (N, L), with `memo` a `_term_signs`
+    memo of P's rows."""
+    n = P.n
     N = [[int(s) for s in row] for row in P.rows]
     L = [1] * n
     D = _minor_table(N)
-    memo: dict = {}
     # masks through index i, by size, each with the parity of i's position
     through = [[[(m, (m & ((1 << i) - 1)).bit_count() & 1)
                  for m in subsets_of_size(n, k) if m >> i & 1] for k in range(n + 1)]
@@ -765,7 +821,7 @@ def allnonzero_realization(P: SignPattern) -> RationalMatrix:
         N[u][v] += delta
         for key, cof in hits:
             D[key] += delta * cof
-    return RationalMatrix(tuple(tuple(Fraction(x, l) for x in row) for row, l in zip(N, L)))
+    return N, L
 
 
 # ---------------------------------------------------------------------------

@@ -296,3 +296,23 @@ def test_masks_outside_the_pattern_raise_value_error():
     # the highest in-range bit is accepted
     assert signed_det_masked(P, 0b110).value is AmbSign.AMBIGUOUS
     assert signed_det_masked(P, 0b100, 0b010).value is AmbSign.MINUS
+
+
+def test_negative_masks_raise_value_error_at_once():
+    # a negative mask has a low bit at every step, so the bit scan of
+    # mask_indices never ended; complement_principal read -2 as {0}
+    P = parse_pattern("+-\n0+")
+    calls = [
+        lambda: mask_indices(-1),
+        lambda: P.principal(-1),
+        lambda: P.complement_principal(-2),
+        lambda: subpattern(P, -1, -1),
+        lambda: subpattern(P, 0b11, -2),
+    ]
+    for call in calls:
+        t0 = perf_counter()
+        with pytest.raises(ValueError, match="index set outside the pattern"):
+            call()
+        assert perf_counter() - t0 < 0.1
+    assert P.complement_principal(0b01) == P.principal(0b10)
+    assert P.complement_principal(0) == P
