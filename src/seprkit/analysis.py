@@ -18,12 +18,13 @@ from .pattern import (
     DET_ORDER_GUARD,
     OrderGuardError,
     SignPattern,
+    _check_square,
+    _masks_by_size,
     _principal_table,
     _term_signs,
     mask_from,
     mask_indices,
     principal_term_signs,
-    subsets_of_size,
 )
 from .realize import (
     ALLNONZERO_ORDER_GUARD,
@@ -77,7 +78,7 @@ def _term_verdict(n: int, k: int, signs) -> TermVerdict:
     present = 0
     witness: dict[int, int] = {}  # sign bit -> first mask with that det
     ambiguous = []
-    for mask in subsets_of_size(n, k):
+    for mask in _masks_by_size(n)[k]:
         bit = signs[mask] or 4  # 1 +, 2 -, 3 ambiguous, 4 zero (no term)
         if bit == 3:
             ambiguous.append(mask)
@@ -101,13 +102,14 @@ def term_verdicts(P: SignPattern) -> tuple[TermVerdict, ...]:
 def fixed_term(P: SignPattern, k: int) -> TermVerdict:
     """The k-th of `term_verdicts`, reading only the order-k principal minors
     through one `_term_signs` memo."""
+    _check_square(P)
     n = P.n
     if not 1 <= k <= n:
         raise ValueError(f"k must lie in 1..{n}")
     if n > DET_ORDER_GUARD:
         raise OrderGuardError(f"signed determinant limited to order {DET_ORDER_GUARD}")
     memo: dict = {}
-    return _term_verdict(n, k, {m: _term_signs(P.rows, memo, m, m) for m in subsets_of_size(n, k)})
+    return _term_verdict(n, k, {m: _term_signs(P.rows, memo, m, m) for m in _masks_by_size(n)[k]})
 
 
 def fixed_sequence(P: SignPattern) -> Optional[SeprSequence]:
@@ -196,22 +198,40 @@ class SeprSetEstimate:
 
 
 def position_upper_sets(P: SignPattern) -> tuple[frozenset[SeprSymbol], ...]:
-    """Per-position symbol sets with subpattern determinants treated independently."""
+    """Per-position symbol sets with subpattern determinants treated independently.
+
+    At order k the sign-determined minors show the sign bits `fixed`; each
+    of the `ambiguous` others may be +, - or 0, so together they add any
+    nonempty set of at most `ambiguous` of the three bits.
+    """
     n = P.n
     signs = principal_term_signs(P)
     out = []
-    for k in range(1, n + 1):
-        reachable = {0}
-        for mask in subsets_of_size(n, k):
+    for masks in _masks_by_size(n)[1:]:
+        fixed = ambiguous = 0
+        for mask in masks:
             s = signs[mask]
-            bits = (1, 2, 4) if s == 3 else (s or 4,)
-            reachable = {u | b for u in reachable for b in bits}
+            if s == 3:
+                ambiguous += 1
+            else:
+                fixed |= s or 4
+        reachable = {fixed | u for u in range(1, 8) if u.bit_count() <= ambiguous} or {fixed}
         out.append(frozenset(SeprSymbol.from_sign_mask(u) for u in reachable))
     return tuple(out)
 
 
 def sepr_set_estimate(P: SignPattern, grid: Optional[MagnitudeGrid] = None,
                       budget: int = 10**6, seed: int = 0) -> SeprSetEstimate:
+    """Bound the sepr-set of P from both sides.
+
+    The lower side is realized: the first witness of each sequence in the
+    grid sweep (`sweep_sepr_table` at `budget` and `seed`), plus the
+    realization with every ambiguous minor nonzero when n <=
+    ALLNONZERO_ORDER_GUARD.  The upper side is per position
+    (`position_upper_sets`).  `tight` means the two sides meet: the lower
+    side has as many sequences as the product of the per-position set sizes
+    and realizes every symbol of every set, so it is the whole sepr-set.
+    """
     lower = sweep_sepr_table(P, grid, budget, seed)
     if P.n <= ALLNONZERO_ORDER_GUARD:
         B = allnonzero_realization(P)
@@ -291,6 +311,7 @@ def predicted_sepr(P: SignPattern) -> Optional[PredictedSepr]:
     one loop, and all cycle products negative.  Returns None when no rule
     applies.
     """
+    _check_square(P)
     n = P.n
     N, AP, AM, SM, SP = SeprSymbol.N, SeprSymbol.AP, SeprSymbol.AM, SeprSymbol.SM, SeprSymbol.SP
     out = _loopless_out(P)

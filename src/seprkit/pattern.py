@@ -12,6 +12,7 @@ matchings.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -58,6 +59,12 @@ def subsets_of_size(n: int, k: int) -> Iterator[int]:
     """All k-subsets of {0..n-1} as bitmasks, in lexicographic order of their indices."""
     for combo in combinations(range(n), k):
         yield mask_from(combo)
+
+
+@lru_cache(maxsize=None)
+def _masks_by_size(n: int) -> tuple[tuple[int, ...], ...]:
+    """Per size k = 0..n, every `subsets_of_size(n, k)` mask in order; built once per n."""
+    return tuple(tuple(subsets_of_size(n, k)) for k in range(n + 1))
 
 
 def full_mask(n: int) -> int:
@@ -311,6 +318,12 @@ def _first_terms(
     return found
 
 
+def _check_square(P: SignPattern) -> None:
+    """Raise ValueError unless P is square."""
+    if not P.is_square:
+        raise ValueError("pattern must be square")
+
+
 def _check_masks(P: SignPattern, *masks: int) -> None:
     """Raise ValueError unless every mask is an index set of P's rows."""
     if any(m < 0 or m >> P.n for m in masks):
@@ -331,8 +344,7 @@ def signed_det_masked(P: SignPattern, rows_mask: int, cols_mask: int | None = No
 
 def signed_det(P: SignPattern) -> DetSummary:
     """Signed determinant of a square pattern: +, -, 0, or ambiguous."""
-    if not P.is_square:
-        raise ValueError("determinant of a non-square pattern")
+    _check_square(P)
     n = P.n
     if n > DET_ORDER_GUARD:
         raise OrderGuardError(f"signed determinant limited to order {DET_ORDER_GUARD}")
@@ -350,6 +362,7 @@ def principal_term_signs(P: SignPattern) -> list[int]:
 
 def _principal_table(P: SignPattern) -> tuple[list[int], dict]:
     """`principal_term_signs` and the `_term_signs` memo that built it."""
+    _check_square(P)
     n = P.n
     if n > DET_ORDER_GUARD:
         raise OrderGuardError(f"signed determinant limited to order {DET_ORDER_GUARD}")

@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations, islice
 from math import factorial, isqrt, lcm
 from typing import Iterator, Optional, Sequence
@@ -42,12 +42,13 @@ from .pattern import (
     OrderGuardError,
     SignPattern,
     _check_masks,
+    _check_square,
     _first_terms,
+    _masks_by_size,
     _principal_table,
     _term_signs,
     mask_indices,
     signed_det_masked,
-    subsets_of_size,
 )
 from .signs import AmbSign, SeprSequence, SeprSymbol, Sign, neg_superscripts
 
@@ -366,7 +367,9 @@ class MagnitudeGrid:
 
     @classmethod
     def default(cls) -> "MagnitudeGrid":
-        return cls.of("1/6", "1/3", "1/2", 1, 2, 3, 6)
+        """The grid 1/6, 1/3, 1/2, 1, 2, 3, 6: one shared instance, so its
+        integer and signed tables are built once."""
+        return _DEFAULT_GRID
 
     @classmethod
     def epsilon_preset(cls, n: int) -> "MagnitudeGrid":
@@ -377,13 +380,26 @@ class MagnitudeGrid:
     def parse(cls, text: str) -> "MagnitudeGrid":
         return cls.of(*[t for t in text.split(",") if t.strip()])
 
-    def int_scaled(self) -> tuple[int, ...]:
+    @cached_property
+    def _scaled(self) -> tuple[tuple[int, ...], int]:
+        """(int_scaled(), the lcm of the denominators that scales them)."""
         mult = lcm(*(v.denominator for v in self.values))
-        return tuple(int(v * mult) for v in self.values)
+        return tuple(int(v * mult) for v in self.values), mult
+
+    @cached_property
+    def _signed(self) -> dict[Sign, tuple[Fraction, ...]]:
+        """The magnitudes by the sign of the entry they fill."""
+        return {Sign.PLUS: self.values, Sign.MINUS: tuple(-x for x in self.values)}
+
+    def int_scaled(self) -> tuple[int, ...]:
+        return self._scaled[0]
 
     def canonical_digit(self) -> int:
         one = Fraction(1)
         return self.values.index(one) if one in self.values else 0
+
+
+_DEFAULT_GRID = MagnitudeGrid.of("1/6", "1/3", "1/2", 1, 2, 3, 6)
 
 
 def _digit_batches(g: int, nnz: int, budget: int, seed: int,
@@ -392,6 +408,8 @@ def _digit_batches(g: int, nnz: int, budget: int, seed: int,
 
     Oversized spaces get one canonical row (all `canonical`) followed by a
     counter-based (Philox) sample, so runs are reproducible from the seed.
+    The canonical row leads the first batch (alone when budget == 1), so a
+    sampled sweep pays for no extra one-row batch.
     """
     space = g**nnz
     if space <= budget:
@@ -404,19 +422,20 @@ def _digit_batches(g: int, nnz: int, budget: int, seed: int,
                 rem = rem // g
             yield digits
         return
-    yield np.full((1, nnz), canonical, dtype=np.int64)
+    head = np.full((1, nnz), canonical, dtype=np.int64)
+    if budget == 1:
+        yield head
+        return
     rng = np.random.Generator(np.random.Philox(key=seed))
-    remaining = budget - 1
-    while remaining > 0:
-        b = min(_CHUNK, remaining)
-        yield rng.integers(0, g, size=(b, nnz), dtype=np.int64)
-        remaining -= b
+    for start in range(1, budget, _CHUNK):
+        draws = rng.integers(0, g, size=(min(_CHUNK, budget - start), nnz), dtype=np.int64)
+        yield np.concatenate([head, draws]) if start == 1 else draws
 
 
 def _matrix_from_digits(P: SignPattern, grid: MagnitudeGrid,
                         positions: Sequence[tuple[int, int]], digits) -> RationalMatrix:
-    signed = {Sign.PLUS: grid.values, Sign.MINUS: tuple(-x for x in grid.values)}
-    rows = [[Fraction(0)] * P.n for _ in range(P.n)]
+    signed = grid._signed
+    rows = [[_SMALL_FRACTIONS[0]] * P.n for _ in range(P.n)]
     for (i, j), d in zip(positions, digits.tolist()):
         rows[i][j] = signed[P.rows[i][j]][d]
     return RationalMatrix(tuple(tuple(r) for r in rows))
@@ -432,6 +451,7 @@ def grid_realizations(P: SignPattern, grid: Optional[MagnitudeGrid] = None,
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
+    _check_square(P)
     grid = grid or MagnitudeGrid.default()
     positions = P.nonzero_positions()
     for batch in _digit_batches(len(grid.values), len(positions), budget, seed,
@@ -446,11 +466,12 @@ def grid_realizations(P: SignPattern, grid: Optional[MagnitudeGrid] = None,
 # minor-sign bitmask (1 pos, 2 neg, 4 zero) -> SeprSymbol value
 _SYMBOL_LUT = np.array([0] + [int(SeprSymbol.from_sign_mask(m)) for m in range(1, 8)],
                        dtype=np.int64)
+_SYMBOLS = tuple(SeprSymbol)  # by value
 
 
 def _sequence_from_code(code: int, n: int) -> SeprSequence:
     """Decode n base-7 symbol digits, the first position most significant."""
-    return SeprSequence(tuple(SeprSymbol(code // 7**k % 7) for k in reversed(range(n))))
+    return SeprSequence(tuple(_SYMBOLS[code // 7**k % 7] for k in reversed(range(n))))
 
 
 @lru_cache(maxsize=None)
@@ -462,7 +483,7 @@ def _minor_levels(n: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ..
     E[R, C] = sum over t of (-1)^t E[r, C[t]] E[R - r, C - C[t]], and each
     sub-minor lies on level j - 1 (level 0 is the empty minor, 1).  Per
     level: entry[t, m] = r*n + C[t], plus n*n for a negated (odd t) term;
-    sub[t, m], the sub-minor's row; and principal[m], whether R == C.
+    sub[t, m], the sub-minor's row; and the principal rows, those with R == C.
     """
     prev = {(0, 0): 0}
     levels = []
@@ -477,43 +498,40 @@ def _minor_levels(n: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ..
                 entry.append([r * n + c + n * n * (t & 1) for t, c in enumerate(C)])
                 sub.append([prev[rmask ^ (1 << r), cmask ^ (1 << c)] for c in C])
         levels.append((np.array(entry, dtype=np.int32).T, np.array(sub, dtype=np.int32).T,
-                       np.array([rm == cm for rm, cm in index], dtype=bool)))
+                       np.flatnonzero([rm == cm for rm, cm in index])))
         prev = index
     return tuple(levels)
 
 
-def _sweep_plan(P: SignPattern) -> list[tuple[int, list, np.ndarray]]:
-    """Per level: minor count, per rank t the (minor rows, entry rows,
-    sub-minor rows) of the terms whose entry is nonzero in P, and the
-    principal rows.  Entry rows index the nonzero entries of P, in
-    `nonzero_positions` order, stacked over their negations.
+def _sweep_plan(P: SignPattern) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Per level of `_minor_levels`: the stack rows of its terms' entries,
+    its sub-minor rows and its principal rows.  The stack holds P's nonzero
+    entries in `nonzero_positions` order, their negations, then one zero
+    row, which every term through a zero entry of P reads.
     """
     n = P.n
-    positions = P.nonzero_positions()
-    row = np.full(2 * n * n, -1, dtype=np.int64)
-    for t, (i, j) in enumerate(positions):
-        row[[i * n + j, n * n + i * n + j]] = t, len(positions) + t
-    plan = []
-    for entry, sub, principal in _minor_levels(n):
-        ranks = []
-        for e, s in zip(row[entry], sub):
-            dest = np.flatnonzero(e >= 0)
-            ranks.append((dest if len(dest) < len(e) else slice(None), e[dest], s[dest]))
-        plan.append((len(principal), ranks, np.flatnonzero(principal)))
-    return plan
+    nonzero = np.flatnonzero([s is not Sign.ZERO for row in P.rows for s in row])
+    k = len(nonzero)
+    row = np.full(2 * n * n, 2 * k, dtype=np.int64)
+    row[nonzero] = np.arange(k)
+    row[nonzero + n * n] = np.arange(k, 2 * k)
+    return [(row[entry], sub, principal) for entry, sub, principal in _minor_levels(n)]
 
 
-def _slice_codes(plan: list[tuple[int, list, np.ndarray]], entries: np.ndarray) -> np.ndarray:
+def _slice_codes(plan: list[tuple[np.ndarray, np.ndarray, np.ndarray]],
+                 entries: np.ndarray) -> np.ndarray:
     """Base-7 sepr codes of a slice; `entries` is (nonzero entries, realizations)."""
-    stack = np.concatenate([entries, -entries])
-    prev = np.ones((1, entries.shape[1]), dtype=np.int64)
-    code = np.zeros(entries.shape[1], dtype=np.int64)
-    for size, ranks, principal in plan:
-        cur = np.zeros((size, entries.shape[1]), dtype=np.int64)
-        for dest, coef, sub in ranks:
-            term = stack[coef]
-            term *= prev[sub]
-            cur[dest] += term
+    width = entries.shape[1]
+    stack = np.concatenate([entries, -entries, np.zeros((1, width), dtype=np.int64)])
+    prev = np.ones((1, width), dtype=np.int64)
+    code = np.zeros(width, dtype=np.int64)
+    for coef, sub, principal in plan:
+        cur = stack[coef[0]]
+        cur *= prev[sub[0]]
+        for c, s in zip(coef[1:], sub[1:]):
+            term = stack[c]
+            term *= prev[s]
+            cur += term
         prev = cur
         d = cur[principal]
         seen = (d > 0).any(0) + 2 * (d < 0).any(0) + 4 * (d == 0).any(0)
@@ -528,8 +546,8 @@ def _first_witnesses(P: SignPattern, g: int, nd: int, budget: int, seed: int, ca
     plan = _sweep_plan(P)
     # int64 rows live at once: the entry stack, the previous level, and the
     # current level with one term and its gathered sub-minors
-    sizes = [size for size, _, _ in plan]
-    live = 2 * len(P.nonzero_positions()) + max(p + 3 * c for p, c in zip([1] + sizes, sizes))
+    sizes = [len(sub[0]) for _, sub, _ in plan]
+    live = 2 * len(P.nonzero_positions()) + 1 + max(p + 3 * c for p, c in zip([1] + sizes, sizes))
     width = max(1, _SWEEP_BYTES // (8 * live))
     found: dict[int, np.ndarray] = {}
     for digits in _digit_batches(g, nd, budget, seed, canonical):
@@ -552,6 +570,7 @@ def sweep_sepr_table(P: SignPattern, grid: Optional[MagnitudeGrid] = None,
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
+    _check_square(P)
     if P.n > SEPR_ORDER_GUARD:
         raise OrderGuardError(f"sepr computation limited to order {SEPR_ORDER_GUARD}")
     grid = grid or MagnitudeGrid.default()
@@ -698,7 +717,7 @@ def _witness_search(P: SignPattern, ambiguous_masks: Sequence[int], budget: int,
         if n <= ALLNONZERO_ORDER_GUARD:
             yield _allnonzero_rows(P, memo)
         g = grid or MagnitudeGrid.default()
-        vals, mult = g.int_scaled(), lcm(*(v.denominator for v in g.values))
+        vals, mult = g._scaled
         positions = P.nonzero_positions()
         for batch in _digit_batches(len(vals), len(positions), budget, seed, g.canonical_digit()):
             for digits in batch.tolist():
@@ -733,19 +752,30 @@ def _minor_table(rows: Sequence[Sequence[int]]) -> dict[tuple[int, int], int]:
     E[rm - r, cm - c_t], zero entries skipped; E[0, 0] = 1 and an empty sum
     is 0.  Keys run in k, rm, cm order.
     """
-    n = len(rows)
-    by_size = [[(m, mask_indices(m)) for m in subsets_of_size(n, k)] for k in range(n + 1)]
     table: dict[tuple[int, int], int] = {(0, 0): 1}
-    for k in range(1, n + 1):
-        for rm, ridx in by_size[k]:
-            row, rest = rows[ridx[0]], rm ^ (1 << ridx[0])
-            for cm, cidx in by_size[k]:
-                acc = 0
-                for t, c in enumerate(cidx):
-                    if e := row[c]:
-                        acc += (-e if t & 1 else e) * table[rest, cm ^ (1 << c)]
+    for masks in _masks_by_size(len(rows))[1:]:
+        for rm in masks:
+            low = rm & -rm
+            row, rest = rows[low.bit_length() - 1], rm ^ low
+            for cm in masks:
+                acc, odd, c = 0, False, cm
+                while c:
+                    b = c & -c
+                    c ^= b
+                    if e := row[b.bit_length() - 1]:
+                        acc += (-e if odd else e) * table[rest, cm ^ b]
+                    odd = not odd
                 table[rm, cm] = acc
     return table
+
+
+@lru_cache(maxsize=None)
+def _through(n: int) -> tuple[tuple[tuple[tuple[int, int], ...], ...], ...]:
+    """Per index i and size k, the size-k masks that hold i, each with the
+    parity of i's position in it; built once per order."""
+    return tuple(tuple(tuple((m, (m & ((1 << i) - 1)).bit_count() & 1) for m in masks if m >> i & 1)
+                       for masks in _masks_by_size(n))
+                 for i in range(n))
 
 
 def allnonzero_realization(P: SignPattern) -> RationalMatrix:
@@ -768,6 +798,7 @@ def allnonzero_realization(P: SignPattern) -> RationalMatrix:
     through (u, v) moves by step * L[u] times its signed cofactor, which
     lacks row u; none else moves.
     """
+    _check_square(P)
     if P.n > ALLNONZERO_ORDER_GUARD:
         raise OrderGuardError(f"limited to order {ALLNONZERO_ORDER_GUARD}")
     return _rational(*_allnonzero_rows(P, {}))
@@ -780,10 +811,7 @@ def _allnonzero_rows(P: SignPattern, memo: dict) -> tuple[list[list[int]], list[
     N = [[int(s) for s in row] for row in P.rows]
     L = [1] * n
     D = _minor_table(N)
-    # masks through index i, by size, each with the parity of i's position
-    through = [[[(m, (m & ((1 << i) - 1)).bit_count() & 1)
-                 for m in subsets_of_size(n, k) if m >> i & 1] for k in range(n + 1)]
-               for i in range(n)]
+    through = _through(n)
     nonzero = [sum(1 << j for j, x in enumerate(row) if x) for row in N]  # columns, by row
     for rm, cm in D:
         if D[rm, cm] != 0:

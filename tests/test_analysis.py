@@ -4,7 +4,7 @@ from time import perf_counter
 
 import pytest
 
-from seprkit import analysis, pattern
+from seprkit import analysis, pattern, realize
 from seprkit.analysis import (
     OPEN_INITIAL_PAIRS,
     TEN_INITIAL_PAIRS,
@@ -286,6 +286,37 @@ def test_upper_sets():
     assert uppers[0] == frozenset({SeprSymbol.SST})
     assert uppers[1] == frozenset({SeprSymbol.SST, SeprSymbol.SM})
     assert uppers[2] == frozenset({SeprSymbol.AM})
+
+
+def test_sepr_set_estimate_reaches_each_spanned_layer_once(monkeypatch):
+    # the benchmark's per-layer spans wrap these names where analysis binds them
+    names = ("allnonzero_realization", "sepr_of_matrix", "position_upper_sets",
+             "sweep_sepr_table")
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, _fn=getattr(analysis, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(analysis, name, counted)
+    for grid in (None, MagnitudeGrid.of(1, 3, 2**22)):  # int64 sweep, rational fallback
+        calls.update(dict.fromkeys(names, 0))
+        analysis.sepr_set_estimate(P4, grid, budget=50)
+        assert calls == dict.fromkeys(names, 1)
+
+
+@pytest.mark.parametrize("rows", [[[1, -1, 0], [0, 1, 1]], [[1, 0], [-1, 1], [0, 1]]])
+def test_non_square_patterns_raise_value_error(rows):
+    P = SignPattern.from_rows(rows)
+    entry_points = [
+        unique_verdict, term_verdicts, fixed_sequence, lambda P: fixed_term(P, 1),
+        position_upper_sets, sepr_set_estimate, predicted_sepr, signed_det,
+        pattern.principal_term_signs, realize.sweep_sepr_table, realize.allnonzero_realization,
+        lambda P: realize.distinct_sepr_search(P, []),
+        lambda P: next(grid_realizations(P, budget=3)),
+    ]
+    for fn in entry_points:
+        with pytest.raises(ValueError, match="square"):
+            fn(P)
 
 
 # -- predictions ------------------------------------------------------------
