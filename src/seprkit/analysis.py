@@ -18,7 +18,6 @@ from .pattern import (
     DET_ORDER_GUARD,
     OrderGuardError,
     SignPattern,
-    _check_square,
     _masks_by_size,
     _principal_table,
     _term_signs,
@@ -102,7 +101,6 @@ def term_verdicts(P: SignPattern) -> tuple[TermVerdict, ...]:
 def fixed_term(P: SignPattern, k: int) -> TermVerdict:
     """The k-th of `term_verdicts`, reading only the order-k principal minors
     through one `_term_signs` memo."""
-    _check_square(P)
     n = P.n
     if not 1 <= k <= n:
         raise ValueError(f"k must lie in 1..{n}")
@@ -311,7 +309,6 @@ def predicted_sepr(P: SignPattern) -> Optional[PredictedSepr]:
     one loop, and all cycle products negative.  Returns None when no rule
     applies.
     """
-    _check_square(P)
     n = P.n
     N, AP, AM, SM, SP = SeprSymbol.N, SeprSymbol.AP, SeprSymbol.AM, SeprSymbol.SM, SeprSymbol.SP
     out = _loopless_out(P)
@@ -414,7 +411,10 @@ def semistability_recognizable(P: SignPattern) -> bool:
 
     True exactly when the sequence is N from position three on, or the
     order is at most two; any other semi-stable sequence is also the
-    unique sequence of some non-semi-stable pattern.
+    unique sequence of some non-semi-stable pattern.  This is the
+    unique-sequence reading: a pattern whose sepr-set is {s}, with s
+    recognizable, is semi-stable.  A sepr-set that merely contains s
+    proves nothing: --0/--0/000 is not semi-stable, yet it realizes S-NN.
     """
     if not is_sign_semi_stable(P):
         raise ValueError("pattern is not sign semi-stable")

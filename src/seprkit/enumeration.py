@@ -31,7 +31,6 @@ from .analysis import (
     unique_verdict,
 )
 from .digraph import (
-    _is_forest,
     is_irreducible,
     is_sign_semi_stable,
     is_sign_stable_irreducible,
@@ -117,11 +116,24 @@ def _stacked_rows(tails: list[list[tuple[Sign, ...]]], symmetric: bool) -> Itera
 
 
 def _forest_edge_sets(n: int) -> Iterator[tuple[tuple[int, int], ...]]:
+    """Forest edge sets on n vertices, in increasing order of their masks
+    over `combinations(range(n), 2)`: pairs are decided from the last to the
+    first, without before with, and a pair is added only when it joins two
+    components (comp[v] is the bitmask of v's), so only forests are visited."""
     pairs = list(combinations(range(n), 2))
-    for mask in range(1 << len(pairs)):
-        edges = tuple(pairs[t] for t in range(len(pairs)) if mask >> t & 1)
-        if _is_forest(n, edges):
+    stack = [(len(pairs), (), tuple(1 << v for v in range(n)))]
+    while stack:
+        t, edges, comp = stack.pop()
+        if not t:
             yield edges
+            continue
+        t -= 1
+        a, b = pairs[t]
+        if not comp[a] >> b & 1:
+            joined = comp[a] | comp[b]
+            stack.append((t, (pairs[t],) + edges,
+                          tuple(joined if joined >> v & 1 else m for v, m in enumerate(comp))))
+        stack.append((t, edges, comp))
 
 
 def simplified_semistable_patterns(n: int) -> Iterator[SignPattern]:

@@ -73,15 +73,16 @@ def full_mask(n: int) -> int:
 
 @dataclass(frozen=True)
 class SignPattern:
-    """Immutable square (or rectangular, for row/column extractions) sign grid."""
+    """Immutable square sign grid."""
 
     rows: tuple[tuple[Sign, ...], ...]
 
     def __post_init__(self):
         if not self.rows:
             raise ValueError("pattern must have at least one row")
-        if len(set(map(len, self.rows))) != 1:
-            raise ValueError("ragged rows")
+        for row in self.rows:
+            if len(row) != len(self.rows):
+                raise ValueError("pattern must be square")
 
     # -- construction -------------------------------------------------------
 
@@ -130,10 +131,6 @@ class SignPattern:
     def n(self) -> int:
         return len(self.rows)
 
-    @property
-    def is_square(self) -> bool:
-        return len(self.rows) == len(self.rows[0])
-
     def entry(self, i: int, j: int) -> Sign:
         return self.rows[i][j]
 
@@ -146,9 +143,9 @@ class SignPattern:
     def __str__(self) -> str:
         return self.to_text()
 
-    def with_entry(self, i: int, j: int, s: Sign) -> "SignPattern":
+    def with_entry(self, i: int, j: int, s: Sign | int) -> "SignPattern":
         rows = [list(r) for r in self.rows]
-        rows[i][j] = s
+        rows[i][j] = Sign.of(s)
         return SignPattern(tuple(tuple(r) for r in rows))
 
     def transpose(self) -> "SignPattern":
@@ -163,9 +160,7 @@ class SignPattern:
         )
 
     def is_symmetric(self) -> bool:
-        return self.is_square and all(
-            self.rows[i][j] == self.rows[j][i] for i in range(self.n) for j in range(i)
-        )
+        return all(self.rows[i][j] == self.rows[j][i] for i in range(self.n) for j in range(i))
 
     def is_nonnegative(self) -> bool:
         return all(s is not Sign.MINUS for row in self.rows for s in row)
@@ -184,9 +179,9 @@ class SignPattern:
     def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "SignPattern":
         if not row_idx or not col_idx:
             raise ValueError("empty index set; use det conventions instead")
-        h = len(self.rows)
-        w = len(self.rows[0])
-        if any(i < 0 or i >= h for i in row_idx) or any(j < 0 or j >= w for j in col_idx):
+        if len(row_idx) != len(col_idx):
+            raise ValueError("a subpattern needs as many rows as columns")
+        if not all(0 <= i < self.n for i in (*row_idx, *col_idx)):
             raise IndexError("subpattern index out of range")
         return SignPattern(tuple(tuple(self.rows[i][j] for j in col_idx) for i in row_idx))
 
@@ -318,12 +313,6 @@ def _first_terms(
     return found
 
 
-def _check_square(P: SignPattern) -> None:
-    """Raise ValueError unless P is square."""
-    if not P.is_square:
-        raise ValueError("pattern must be square")
-
-
 def _check_masks(P: SignPattern, *masks: int) -> None:
     """Raise ValueError unless every mask is an index set of P's rows."""
     if any(m < 0 or m >> P.n for m in masks):
@@ -343,8 +332,7 @@ def signed_det_masked(P: SignPattern, rows_mask: int, cols_mask: int | None = No
 
 
 def signed_det(P: SignPattern) -> DetSummary:
-    """Signed determinant of a square pattern: +, -, 0, or ambiguous."""
-    _check_square(P)
+    """Signed determinant of a pattern: +, -, 0, or ambiguous."""
     n = P.n
     if n > DET_ORDER_GUARD:
         raise OrderGuardError(f"signed determinant limited to order {DET_ORDER_GUARD}")
@@ -362,7 +350,6 @@ def principal_term_signs(P: SignPattern) -> list[int]:
 
 def _principal_table(P: SignPattern) -> tuple[list[int], dict]:
     """`principal_term_signs` and the `_term_signs` memo that built it."""
-    _check_square(P)
     n = P.n
     if n > DET_ORDER_GUARD:
         raise OrderGuardError(f"signed determinant limited to order {DET_ORDER_GUARD}")
@@ -391,7 +378,7 @@ class Bigraph:
         adj = tuple(
             tuple(j for j, s in enumerate(row) if s is not Sign.ZERO) for row in P.rows
         )
-        return cls(len(P.rows), len(P.rows[0]), adj)
+        return cls(P.n, P.n, adj)
 
 
 def bigraph(P: SignPattern) -> Bigraph:

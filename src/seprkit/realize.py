@@ -42,7 +42,6 @@ from .pattern import (
     OrderGuardError,
     SignPattern,
     _check_masks,
-    _check_square,
     _first_terms,
     _masks_by_size,
     _principal_table,
@@ -451,13 +450,11 @@ def grid_realizations(P: SignPattern, grid: Optional[MagnitudeGrid] = None,
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    _check_square(P)
     grid = grid or MagnitudeGrid.default()
     positions = P.nonzero_positions()
-    for batch in _digit_batches(len(grid.values), len(positions), budget, seed,
-                                grid.canonical_digit()):
-        for row in batch:
-            yield _matrix_from_digits(P, grid, positions, row)
+    batches = _digit_batches(len(grid.values), len(positions), budget, seed,
+                             grid.canonical_digit())
+    return (_matrix_from_digits(P, grid, positions, row) for batch in batches for row in batch)
 
 
 # ---------------------------------------------------------------------------
@@ -570,7 +567,6 @@ def sweep_sepr_table(P: SignPattern, grid: Optional[MagnitudeGrid] = None,
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    _check_square(P)
     if P.n > SEPR_ORDER_GUARD:
         raise OrderGuardError(f"sepr computation limited to order {SEPR_ORDER_GUARD}")
     grid = grid or MagnitudeGrid.default()
@@ -798,7 +794,6 @@ def allnonzero_realization(P: SignPattern) -> RationalMatrix:
     through (u, v) moves by step * L[u] times its signed cofactor, which
     lacks row u; none else moves.
     """
-    _check_square(P)
     if P.n > ALLNONZERO_ORDER_GUARD:
         raise OrderGuardError(f"limited to order {ALLNONZERO_ORDER_GUARD}")
     return _rational(*_allnonzero_rows(P, {}))

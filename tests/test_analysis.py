@@ -4,7 +4,7 @@ from time import perf_counter
 
 import pytest
 
-from seprkit import analysis, pattern, realize
+from seprkit import analysis, pattern
 from seprkit.analysis import (
     OPEN_INITIAL_PAIRS,
     TEN_INITIAL_PAIRS,
@@ -40,7 +40,7 @@ from seprkit.pattern import (
     signed_det_masked,
     subsets_of_size,
 )
-from seprkit.realize import MagnitudeGrid, grid_realizations, sepr_of_matrix
+from seprkit.realize import MagnitudeGrid, RationalMatrix, grid_realizations, sepr_of_matrix
 from seprkit.signs import AmbSign, SeprSymbol, Sign, parse_sequence
 
 P3 = parse_pattern("++0\n--+\n0+0")
@@ -306,17 +306,22 @@ def test_sepr_set_estimate_reaches_each_spanned_layer_once(monkeypatch):
 
 @pytest.mark.parametrize("rows", [[[1, -1, 0], [0, 1, 1]], [[1, 0], [-1, 1], [0, 1]]])
 def test_non_square_patterns_raise_value_error(rows):
-    P = SignPattern.from_rows(rows)
-    entry_points = [
-        unique_verdict, term_verdicts, fixed_sequence, lambda P: fixed_term(P, 1),
-        position_upper_sets, sepr_set_estimate, predicted_sepr, signed_det,
-        pattern.principal_term_signs, realize.sweep_sepr_table, realize.allnonzero_realization,
-        lambda P: realize.distinct_sepr_search(P, []),
-        lambda P: next(grid_realizations(P, budget=3)),
+    """No construction path builds a non-square pattern, so no entry point
+    has to check for one."""
+    text = "\n".join("".join("0+-"[x % 3] for x in row) for row in rows)
+    square = parse_pattern("+-0\n0++\n-0+")
+    constructions = [
+        lambda: SignPattern(tuple(tuple(map(Sign.of, row)) for row in rows)),
+        lambda: SignPattern.from_rows(rows),
+        lambda: SignPattern.parse(text),
+        lambda: SignPattern.from_json({"n": len(rows), "rows": text.splitlines()}),
+        lambda: RationalMatrix.from_rows(rows).sign_pattern(),
+        lambda: square.submatrix(range(len(rows)), range(len(rows[0]))),
+        lambda: pattern.subpattern(square, range(len(rows)), range(len(rows[0]))),
     ]
-    for fn in entry_points:
-        with pytest.raises(ValueError, match="square"):
-            fn(P)
+    for build in constructions:
+        with pytest.raises(ValueError, match="square|columns"):
+            build()
 
 
 # -- predictions ------------------------------------------------------------
@@ -432,6 +437,24 @@ def test_semistability_recognizable():
     assert not semistability_recognizable(path_pattern(4))
     with pytest.raises(ValueError):
         semistability_recognizable(parse_pattern("+"))
+
+
+def test_semistability_recognizable_reads_the_unique_sequence():
+    # S-NN is recognizable: the pattern whose sepr-set is {S-NN} is semi-stable
+    P = parse_pattern("-00\n000\n000")
+    assert is_sign_semi_stable(P).ok and semistability_recognizable(P)
+    verdict = unique_verdict(P)
+    assert verdict.status is UniqueStatus.UNIQUE_BY_FIXED_TERMS
+    assert str(verdict.sequence) == "S-NN"
+    # a sepr-set that merely contains S-NN proves nothing: the 2-cycle
+    # product of Q is +, yet Q realizes S-NN
+    Q = parse_pattern("--0\n--0\n000")
+    assert not is_sign_semi_stable(Q).ok
+    B = RationalMatrix.parse("-1/6 -1/6 0\n-1/6 -1/6 0\n0 0 0")
+    assert B.is_realization_of(Q) and str(sepr_of_matrix(B)) == "S-NN"
+    verdict = unique_verdict(Q)
+    assert verdict.status is UniqueStatus.NOT_UNIQUE
+    assert {str(seq) for seq in verdict.witnesses[1::2]} == {"S-NN", "S-S+N"}
 
 
 def test_add_cycle_witness_4path():

@@ -1,16 +1,18 @@
 """Family enumeration and the verification harness building blocks."""
-from itertools import permutations, product
+from itertools import combinations, permutations, product
+from time import perf_counter
 
 import numpy as np
 import pytest
 
 from seprkit.analysis import UniqueStatus, fixed_sequence, unique_verdict
-from seprkit.digraph import is_irreducible, is_sign_semi_stable, simplify
+from seprkit.digraph import _is_forest, is_irreducible, is_sign_semi_stable, simplify
 from seprkit.enumeration import (
     EnumerationBudgetExceeded,
     ORDER3_NONNEG_SEQUENCES,
     PatternFamily,
     VerificationReport,
+    _forest_edge_sets,
     _sym3_sweep,
     enumerate_patterns,
     family_size,
@@ -97,6 +99,24 @@ def test_simplified_semistable_patterns():
         assert is_sign_semi_stable(P)
         assert simplify(P) == P
     assert sum(1 for _ in simplified_semistable_patterns(4)) == 3216
+
+
+def _forest_mask_scan(n):
+    """Every edge mask over combinations(range(n), 2), kept when a forest."""
+    pairs = list(combinations(range(n), 2))
+    for mask in range(1 << len(pairs)):
+        edges = tuple(pairs[t] for t in range(len(pairs)) if mask >> t & 1)
+        if _is_forest(n, edges):
+            yield edges
+
+
+def test_forest_edge_sets_grow_only_forests():
+    for n in range(1, 7):
+        assert list(_forest_edge_sets(n)) == list(_forest_mask_scan(n)), n
+    # order 7 has 2**21 edge masks; growing visits only its forests
+    t0 = perf_counter()
+    assert sum(1 for _ in _forest_edge_sets(7)) == 36961
+    assert perf_counter() - t0 < 1.0
 
 
 def test_semistable_sequence_fast_path():

@@ -72,6 +72,26 @@ def test_subpattern_full_and_out_of_range():
         P.submatrix((0, 2), (0, 1))
 
 
+def test_with_entry_stores_a_sign():
+    # a raw 0 compared equal to Sign.ZERO, yet the term walk, which tests
+    # identity with Sign.ZERO, read it as a nonzero entry
+    P = parse_pattern("++\n++")
+    for zero in (0, Sign.ZERO):
+        Q = P.with_entry(0, 1, zero)
+        assert Q == parse_pattern("+0\n++") and Q.entry(0, 1) is Sign.ZERO
+        assert signed_det(Q).value is AmbSign.PLUS
+    assert P.with_entry(1, 1, -3).entry(1, 1) is Sign.MINUS
+
+
+def test_submatrix_needs_equal_index_sets():
+    P = parse_pattern("0+-\n-0+\n+-0")
+    with pytest.raises(ValueError, match="as many rows as columns"):
+        P.submatrix((0, 1), (0, 1, 2))
+    with pytest.raises(ValueError, match="as many rows as columns"):
+        subpattern(P, 0b111, 0b1)
+    assert P.submatrix((0, 2), (1, 2)) == parse_pattern("+-\n-0")
+
+
 def test_subpattern_composition():
     rng = random.Random(3)
     for _ in range(50):

@@ -688,6 +688,13 @@ def test_sweep_matches_stream_when_subsampled():
     assert table == stream
 
 
+def test_grid_realizations_checks_budget_at_the_call():
+    P = parse_pattern("+-\n-+")
+    for budget in (0, -5):
+        with pytest.raises(ValueError, match="budget"):
+            grid_realizations(P, budget=budget)  # no next(): the call itself raises
+
+
 def test_sweep_budget_must_be_positive():
     for text in ("+-\n-+", "+0000\n0+000\n00+00\n000+0\n0000+"):
         P = parse_pattern(text)
