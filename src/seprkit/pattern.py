@@ -320,7 +320,8 @@ def _check_masks(P: SignPattern, *masks: int) -> None:
 
 
 def signed_det_masked(P: SignPattern, rows_mask: int, cols_mask: int | None = None) -> DetSummary:
-    """Signed determinant of P[rows_mask, cols_mask] without building the subpattern."""
+    """Signed determinant of P[rows_mask, cols_mask] without building the subpattern;
+    0 at once, before the term-sign recursion, when one of its rows or columns is all zero."""
     cols_mask = rows_mask if cols_mask is None else cols_mask
     _check_masks(P, rows_mask, cols_mask)
     k = rows_mask.bit_count()
@@ -328,15 +329,16 @@ def signed_det_masked(P: SignPattern, rows_mask: int, cols_mask: int | None = No
         raise ValueError("determinant needs equal-size row and column sets")
     if k > DET_ORDER_GUARD:
         raise OrderGuardError(f"signed determinant limited to order {DET_ORDER_GUARD}")
-    return DetSummary.from_signs(_term_signs(P.rows, {}, rows_mask, cols_mask))
+    cols = mask_indices(cols_mask)
+    sub = [[P.rows[i][j] for j in cols] for i in mask_indices(rows_mask)]
+    if all(map(any, sub)) and all(map(any, zip(*sub))):
+        return DetSummary.from_signs(_term_signs(P.rows, {}, rows_mask, cols_mask))
+    return DetSummary.from_signs(0)  # a row or column with no nonzero entry: no term
 
 
 def signed_det(P: SignPattern) -> DetSummary:
-    """Signed determinant of a pattern: +, -, 0, or ambiguous."""
-    n = P.n
-    if n > DET_ORDER_GUARD:
-        raise OrderGuardError(f"signed determinant limited to order {DET_ORDER_GUARD}")
-    return DetSummary.from_signs(_term_signs(P.rows, {}, full_mask(n), full_mask(n)))
+    """Signed determinant of a pattern (+, -, 0 or ambiguous); 0 at once on a zero row or column."""
+    return signed_det_masked(P, full_mask(P.n))
 
 
 def principal_term_signs(P: SignPattern) -> list[int]:

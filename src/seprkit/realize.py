@@ -5,8 +5,8 @@ seed.  Matrices carry Fraction entries; the walks and sweeps run on integer
 rows.  Each exact minor, determinant or inverse comes from one kernel, _det:
 integer rows (positive row scaling clears the denominators), closed forms to
 order 3 and fraction-free Bareiss elimination above.  Whole tables of minors
-are built otherwise: by Laplace recursion in the batched sweep and the
-all-nonzero walk (whose rows keep one denominator each), and, for the sepr
+are built otherwise: by Laplace recursion in the batched sweep and into the
+all-nonzero walk's flat list (whose rows keep one denominator each), and, for the sepr
 of one matrix, by one depth-first walk over index sets in which each set's
 bordered minors follow from its parent's by one exact step of Sylvester's
 identity (below a zero principal minor, from _det on the table of its
@@ -740,38 +740,24 @@ def _witness_search(P: SignPattern, ambiguous_masks: Sequence[int], budget: int,
 # ---------------------------------------------------------------------------
 # all ambiguous minors nonzero
 
-def _minor_table(rows: Sequence[Sequence[int]]) -> dict[tuple[int, int], int]:
-    """Every equal-size minor E[rm, cm] of integer `rows`, keyed by (row mask, col mask).
-
-    One Laplace recursion along row r = min(rm): E[rm, cm] is the sum over
-    the columns c_0 < c_1 < ... of cm of (-1)**t * rows[r][c_t] *
-    E[rm - r, cm - c_t], zero entries skipped; E[0, 0] = 1 and an empty sum
-    is 0.  Keys run in k, rm, cm order.
-    """
-    table: dict[tuple[int, int], int] = {(0, 0): 1}
-    for masks in _masks_by_size(len(rows))[1:]:
-        for rm in masks:
-            low = rm & -rm
-            row, rest = rows[low.bit_length() - 1], rm ^ low
-            for cm in masks:
-                acc, odd, c = 0, False, cm
-                while c:
-                    b = c & -c
-                    c ^= b
-                    if e := row[b.bit_length() - 1]:
-                        acc += (-e if odd else e) * table[rest, cm ^ b]
-                    odd = not odd
-                table[rm, cm] = acc
-    return table
-
-
 @lru_cache(maxsize=None)
-def _through(n: int) -> tuple[tuple[tuple[tuple[int, int], ...], ...], ...]:
-    """Per index i and size k, the size-k masks that hold i, each with the
-    parity of i's position in it; built once per order."""
-    return tuple(tuple(tuple((m, (m & ((1 << i) - 1)).bit_count() & 1) for m in masks if m >> i & 1)
-                       for masks in _masks_by_size(n))
-                 for i in range(n))
+def _minor_ids(n: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple]:
+    """Flat ids of the equal-size (row mask, col mask) pairs of order n; built once per order.
+
+    Minor (rm, cm) of size k has id off[k] + rank[rm] * C(n, k) + rank[cm], with rank[m] the
+    position of m in `_masks_by_size(n)[k]`, so ids run 0 .. C(2n, n) - 1 in k, rm, cm order.
+    through[i][k] holds (rank[m], rank[m ^ 1 << i], parity of i's position in m) for each
+    size-k mask m through i.
+    """
+    rank, off = [0] * (1 << n), [0]
+    for masks in _masks_by_size(n):
+        for r, m in enumerate(masks):
+            rank[m] = r
+        off.append(off[-1] + len(masks) ** 2)
+    through = tuple(tuple(tuple((rank[m], rank[m ^ 1 << i], (m & ((1 << i) - 1)).bit_count() & 1)
+                                for m in masks if m >> i & 1) for masks in _masks_by_size(n))
+                    for i in range(n))
+    return tuple(rank), tuple(off), through
 
 
 def allnonzero_realization(P: SignPattern) -> RationalMatrix:
@@ -782,17 +768,17 @@ def allnonzero_realization(P: SignPattern) -> RationalMatrix:
     sits on a nonzero term).  The step is half the exact bound
     min |d| / |cofactor| over all minors through that entry, which keeps
     every currently-nonzero minor's sign intact.  Every determinant is read
-    from one table D over all equal-size (row mask, col mask) pairs, the
-    integer minors of N, where row i of B is N[i] / L[i] with one positive
-    denominator per row.  When a minor is reached, every smaller minor with
-    a term is nonzero (one with terms of one sign always, an ambiguous one
-    since its turn), so a zero minor has a term iff row u = min rm has an
-    entry (u, v) with a nonzero cofactor; the first such entry is nudged.
-    A zero minor with a term is ambiguous, which `_term_signs` confirms
-    (one memo per call).  A nudge B[u][v] += step rescales row u, in N, L
-    and D, by what L[u] lacks of the step's denominator; then each minor
-    through (u, v) moves by step * L[u] times its signed cofactor, which
-    lacks row u; none else moves.
+    from one flat list D, filled by Laplace expansion, of the integer minors
+    of N over all equal-size (row mask, col mask) pairs, by their `_minor_ids`
+    id; row i of B is N[i] / L[i], one positive denominator per row.  When a
+    minor is reached, every smaller minor with a term is nonzero (one with
+    terms of one sign always, an ambiguous one since its turn), so a zero
+    minor has a term iff row u = min rm has an entry (u, v) with a nonzero
+    cofactor; the first such entry is nudged.  A zero minor with a term is
+    ambiguous, which `_term_signs` confirms (one memo per call).  A nudge
+    B[u][v] += step rescales row u, in N, L and D, by what L[u] lacks of the
+    step's denominator; then each minor through (u, v) moves by step * L[u]
+    times its signed cofactor, which lacks row u; none else moves.
     """
     if P.n > ALLNONZERO_ORDER_GUARD:
         raise OrderGuardError(f"limited to order {ALLNONZERO_ORDER_GUARD}")
@@ -803,47 +789,59 @@ def _allnonzero_rows(P: SignPattern, memo: dict) -> tuple[list[list[int]], list[
     """The walk of allnonzero_realization: (N, L), with `memo` a `_term_signs`
     memo of P's rows."""
     n = P.n
-    N = [[int(s) for s in row] for row in P.rows]
-    L = [1] * n
-    D = _minor_table(N)
-    through = _through(n)
+    N, L = [[int(s) for s in row] for row in P.rows], [1] * n
+    masks = _masks_by_size(n)
+    size = [len(ms) for ms in masks]  # C(n, k)
+    rank, off, through = _minor_ids(n)
+    D = [1] + [0] * (off[-1] - 1)
+    for k in range(1, n + 1):  # D[rm, cm] = sum over c of +-N[u][c] * D[rm - u, cm - c]
+        for a, rm in enumerate(masks[k]):
+            u = (rm & -rm).bit_length() - 1
+            rest, acc = off[k - 1] + rank[rm ^ (1 << u)] * size[k - 1], [0] * size[k]
+            for c, e in enumerate(N[u]):
+                if e:
+                    for r, rc, odd in through[c][k]:
+                        acc[r] += (-e if odd else e) * D[rest + rc]
+            D[off[k] + a * size[k]:off[k] + (a + 1) * size[k]] = acc
     nonzero = [sum(1 << j for j, x in enumerate(row) if x) for row in N]  # columns, by row
-    for rm, cm in D:
-        if D[rm, cm] != 0:
-            continue
-        u = (rm & -rm).bit_length() - 1
-        c = cm & nonzero[u]  # v: the first of these columns with a nonzero cofactor
-        while c and D[rm ^ (1 << u), cm ^ (c & -c)] == 0:
-            c &= c - 1
-        if not c:
-            continue
-        v = (c & -c).bit_length() - 1
-        if _term_signs(P.rows, memo, rm, cm) != 3:
-            raise RealizationError("a zero minor with a term is not ambiguous")
-        hits = []  # (minor through (u, v), its signed cofactor) where that is nonzero
-        for rows_u, cols_v in zip(through[u], through[v]):
-            for rm2, pu in rows_u:
-                for cm2, pv in cols_v:
-                    cof = D[rm2 ^ (1 << u), cm2 ^ (1 << v)]
-                    if cof:
-                        hits.append(((rm2, cm2), -cof if pu ^ pv else cof))
-        # min |D| / |cof| as p / q, by cross-multiplying; over L[u] it bounds B
-        p, q = 0, 0
-        for key, cof in hits:
-            if d := D[key]:
-                a, b = abs(d), abs(cof)
-                if not q or a * q < p * b:
-                    p, q = a, b
-        step = Fraction(p, 2 * q * L[u])
-        if (f := lcm(L[u], step.denominator) // L[u]) > 1:
-            N[u], L[u] = [x * f for x in N[u]], L[u] * f
-            for key in D:
-                if key[0] >> u & 1:
-                    D[key] *= f
-        delta = step.numerator * (L[u] // step.denominator)
-        N[u][v] += delta
-        for key, cof in hits:
-            D[key] += delta * cof
+    for k in range(1, n + 1):
+        for a, rm in enumerate(masks[k]):
+            u = (rm & -rm).bit_length() - 1
+            rest, at = off[k - 1] + rank[rm ^ (1 << u)] * size[k - 1], off[k] + a * size[k]
+            for i, cm in enumerate(masks[k]):
+                c = 0 if D[at + i] else cm & nonzero[u]  # v: the first of c with a nonzero cofactor
+                while c and D[rest + rank[cm ^ (c & -c)]] == 0:
+                    c &= c - 1
+                if not c:
+                    continue
+                v = (c & -c).bit_length() - 1
+                if _term_signs(P.rows, memo, rm, cm) != 3:
+                    raise RealizationError("a zero minor with a term is not ambiguous")
+                hits = []  # (id of a minor through (u, v), its signed cofactor), cofactor nonzero
+                for kk in range(1, n + 1):
+                    for r, rr, pu in through[u][kk]:
+                        to, cof_at = off[kk] + r * size[kk], off[kk - 1] + rr * size[kk - 1]
+                        for c2, cr, pv in through[v][kk]:
+                            if cof := D[cof_at + cr]:
+                                hits.append((to + c2, -cof if pu ^ pv else cof))
+                # min |D| / |cof| as p / q, by cross-multiplying; over L[u] it bounds B
+                p, q = 0, 0
+                for to, cof in hits:
+                    if d := D[to]:
+                        x, y = abs(d), abs(cof)
+                        if not q or x * q < p * y:
+                            p, q = x, y
+                step = Fraction(p, 2 * q * L[u])
+                if (f := lcm(L[u], step.denominator) // L[u]) > 1:
+                    N[u], L[u] = [x * f for x in N[u]], L[u] * f
+                    for kk in range(1, n + 1):
+                        for r, _, _ in through[u][kk]:
+                            to = off[kk] + r * size[kk]
+                            D[to:to + size[kk]] = [x * f for x in D[to:to + size[kk]]]
+                delta = step.numerator * (L[u] // step.denominator)
+                N[u][v] += delta
+                for to, cof in hits:
+                    D[to] += delta * cof
     return N, L
 
 

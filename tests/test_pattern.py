@@ -7,6 +7,7 @@ import pytest
 
 from seprkit.pattern import (
     DET_ORDER_GUARD,
+    DetSummary,
     OrderGuardError,
     PatternParseError,
     SignPattern,
@@ -22,6 +23,7 @@ from seprkit.pattern import (
     signed_det_masked,
     subpattern,
     subsets_of_size,
+    _term_signs,
 )
 from seprkit.realize import (
     MagnitudeGrid,
@@ -199,6 +201,57 @@ def test_signed_det_guard_budget():
         assert d.value is AmbSign.ZERO and not d.has_term and d.term_count_bound == 0
         assert elapsed < ceiling_s, (P.to_text(), elapsed)
         assert not has_perfect_matching(bigraph(P))
+
+
+def test_signed_det_empty_line_guard():
+    # a dense +- pattern with an all-zero last column, and its transpose, at
+    # the order guard: the term-sign recursion alone takes about 0.17 s and
+    # 0.3 s on them (2-core x86-64, Python 3.11); the empty line answers at once
+    ceiling_s = 0.05
+    rng = random.Random(16)
+    n = DET_ORDER_GUARD
+    P = SignPattern.from_rows([[0 if j == n - 1 else rng.choice((1, -1)) for j in range(n)]
+                               for _ in range(n)])
+    for Q in (P, P.transpose()):
+        t0 = perf_counter()
+        d = signed_det(Q)
+        elapsed = perf_counter() - t0
+        assert d == DetSummary.from_signs(0)
+        assert elapsed < ceiling_s, (Q.to_text(), elapsed)
+
+
+def test_signed_det_empty_line_matches_recursion():
+    # on sparse and term-free patterns (an all-zero row or column, or k rows
+    # confined to k - 1 columns), both entry points answer as the bare
+    # term-sign recursion does, and a term exists iff a perfect matching does
+    rng = random.Random(18)
+    for n in range(2, 13):
+        for kind in ("sparse", "zero line", "hall"):
+            for _ in range(6):
+                density = 0.3 if kind == "sparse" else 1.0
+                rows = [[rng.choice((1, -1)) if rng.random() < density else 0 for _ in range(n)]
+                        for _ in range(n)]
+                if kind == "zero line":
+                    z = rng.randrange(n)
+                    rows = [[0 if j == z else x for j, x in enumerate(row)] for row in rows]
+                    rows = [list(col) for col in zip(*rows)] if rng.random() < 0.5 else rows
+                elif kind == "hall":
+                    k = rng.randint(2, n)
+                    cols = set(rng.sample(range(n), k - 1))
+                    for i in rng.sample(range(n), k):
+                        rows[i] = [x if j in cols else 0 for j, x in enumerate(rows[i])]
+                P = SignPattern.from_rows(rows)
+                d, full = signed_det(P), full_mask(n)
+                assert d == DetSummary.from_signs(_term_signs(P.rows, {}, full, full))
+                assert d.has_term == has_perfect_matching(bigraph(P)), P.to_text()
+                if kind != "sparse":
+                    assert not d.has_term, P.to_text()
+                for _ in range(4):
+                    k = rng.randint(1, n)
+                    rm, cm = mask_from(rng.sample(range(n), k)), mask_from(rng.sample(range(n), k))
+                    d = signed_det_masked(P, rm, cm)
+                    assert d == DetSummary.from_signs(_term_signs(P.rows, {}, rm, cm))
+                    assert d.has_term == has_perfect_matching(bigraph(subpattern(P, rm, cm)))
 
 
 def test_ambiguous_patterns_realize_both_signs():

@@ -4,9 +4,10 @@ import hashlib
 import random
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
-from math import factorial
+from math import comb, factorial
 from pathlib import Path
 
 import pytest
@@ -16,6 +17,7 @@ from seprkit.pattern import (
     OrderGuardError,
     SignPattern,
     _first_terms,
+    _masks_by_size,
     _term_signs,
     full_mask,
     mask_from,
@@ -451,6 +453,38 @@ def test_allnonzero_digests_past_order_6():
         B = allnonzero_realization(P)
         assert B.is_realization_of(P)
         assert hashlib.sha256(B.to_text().encode()).hexdigest() == digest, P.to_text()
+
+
+def test_minor_ids_number_pairs_in_mask_order():
+    # the flat ids of the all-nonzero walk run 0 .. C(2n, n) - 1 over the
+    # (k, rm, cm) pairs in _masks_by_size order, and each through entry
+    # names a mask through i, that mask without i, and i's position parity
+    for n in range(1, 7):
+        rank, off, through = realize._minor_ids(n)
+        masks = _masks_by_size(n)
+        ids = [off[k] + rank[rm] * len(ms) + rank[cm]
+               for k, ms in enumerate(masks) for rm in ms for cm in ms]
+        assert ids == list(range(comb(2 * n, n))) and off[-1] == comb(2 * n, n)
+        for i in range(n):
+            for k, ms in enumerate(masks):
+                want = [(ms.index(m), masks[k - 1].index(m ^ 1 << i),
+                         mask_indices(m).index(i) & 1) for m in ms if m >> i & 1]
+                assert list(through[i][k]) == want, (n, i, k)
+
+
+def test_allnonzero_memory_ceiling():
+    # the order-10 zero pattern's walk, per-order tables built beforehand,
+    # peaks below half the 24.2 MiB that a dict keyed by (row mask, col mask)
+    # pairs reached under tracemalloc
+    P = SignPattern.zero(realize.ALLNONZERO_ORDER_GUARD)
+    allnonzero_realization(P)
+    tracemalloc.start()
+    try:
+        allnonzero_realization(P)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12.1 * 2**20, peak
 
 
 def test_allnonzero_guard_budget():
