@@ -10,13 +10,14 @@ all-nonzero walk's flat list (whose rows keep one denominator each), and, for th
 of one matrix, by one depth-first walk over index sets in which each set's
 bordered minors follow from its parent's by one exact step of Sylvester's
 identity (below a zero principal minor, from _det on the table of its
-nearest nonzero ancestor).  Term signs come from the pattern module's one
-recursion; the all-nonzero walk asks it only about zero minors that have
-a term.  Alongside the plain grid sweep the module provides targeted
-constructors (dominate a chosen term, hit an exact zero of an ambiguous
-minor, make all ambiguous minors nonzero).  The witness search tries them
-as integer rows to separate sepr-sequences, reading each sign-determined
-minor's sign from the principal term-sign table.
+nearest nonzero ancestor; a set with at most three indices after it is
+settled from its undivided numerators, with no table).  Term signs come
+from the pattern module's one recursion; the all-nonzero walk asks it only
+about zero minors that have a term.  Alongside the plain grid sweep the
+module provides targeted constructors (dominate a chosen term, hit an exact
+zero of an ambiguous minor, make all ambiguous minors nonzero).  The witness
+search tries them as integer rows to separate sepr-sequences, reading each
+sign-determined minor's sign from the principal term-sign table.
 
 The grid sweep evaluates all principal minors of a batch of realizations
 at once, in int64, by one shared Laplace recursion over minors.  It runs
@@ -57,6 +58,7 @@ INVERSE_ORDER_GUARD = 6
 _CHUNK = 1 << 14
 _INT64_MAX = 2**63 - 1
 _SWEEP_BYTES = 1 << 20
+_SWAP = (0, 2, 1, 3, 4, 6, 5, 7)  # a sign mask (1 +, 2 -, 4 zero) with + and - exchanged
 
 
 class RealizationError(RuntimeError):
@@ -268,7 +270,10 @@ def sepr_of_matrix(B: RationalMatrix) -> SeprSequence:
     det A[S] != 0 holds the table T[i][j] = det A[S+i, S+j] for i, j > max S.
     Its children's determinants are the diagonal of T, and child S+p builds
     its own table by one exact step of Sylvester's identity,
-    (T[p][p] T[i][j] - T[i][p] T[p][j]) / det A[S].
+    (T[p][p] T[i][j] - T[i][p] T[p][j]) / det A[S].  A child with at most
+    three indices after it builds no table: its subtree is settled from
+    those numerators undivided, whose principal minors are
+    det A[S]^|F| T[p][p]^(|F|-1) det A[S+p+F].
 
     Below a zero minor det A[S+E] = 0 the walk keeps T and det A[S] and
     reads each descendant S+F from the general identity
@@ -309,11 +314,44 @@ def _principal_walk(seen: list[int], T: list[list[int]], d: int, k: int) -> None
         if p == m - 2:
             last = T[m - 1]
             _mark(seen, k + 2, v * last[m - 1] - last[p] * rp[m - 1], d, 1)
-        elif v:
+        elif not v:
+            _zero_walk(seen, T, d, k, [p])
+        elif p < m - 4:
             _principal_walk(seen, [[(v * ri[j] - ri[p] * rp[j]) // d for j in range(p + 1, m)]
                                    for ri in T[p + 1:]], v, k + 1)
-        else:
-            _zero_walk(seen, T, d, k, [p])
+        elif p == m - 3:
+            # N[i][j] = v T[i][j] - T[i][p] T[p][j] (i, j > p) is d times the child's
+            # table, so det N[F, F] = d^|F| v^(|F|-1) det A[S+p+F]: read over d, v, d
+            ra, rb, pa, pb = T[-2], T[-1], rp[-2], rp[-1]
+            aa, bb = v * ra[-2] - ra[p] * pa, v * rb[-1] - rb[p] * pb
+            if seen[k + 2] != 7:
+                s = (1 if aa > 0 else 2 if aa else 4) | (1 if bb > 0 else 2 if bb else 4)
+                seen[k + 2] |= s if d > 0 else _SWAP[s]
+            if seen[k + 3] != 7:
+                x = aa * bb - (v * ra[-1] - ra[p] * pb) * (v * rb[-2] - rb[p] * pa)
+                s = 1 if x > 0 else 2 if x else 4
+                seen[k + 3] |= s if v > 0 else _SWAP[s]
+        else:  # three indices after p, read the same way
+            ra, rb, rc, pa, pb, pc = T[-3], T[-2], T[-1], rp[-3], rp[-2], rp[-1]
+            ap, bp, cp = ra[p], rb[p], rc[p]
+            aa, bb, cc = v * ra[-3] - ap * pa, v * rb[-2] - bp * pb, v * rc[-1] - cp * pc
+            if seen[k + 2] != 7:
+                s = ((1 if aa > 0 else 2 if aa else 4) | (1 if bb > 0 else 2 if bb else 4)
+                     | (1 if cc > 0 else 2 if cc else 4))
+                seen[k + 2] |= s if d > 0 else _SWAP[s]
+            if seen[k + 3] != 7 or seen[k + 4] != 7:
+                ab, ac, bc = v * ra[-2] - ap * pb, v * ra[-1] - ap * pc, v * rb[-1] - bp * pc
+                ba, ca, cb = v * rb[-3] - bp * pa, v * rc[-3] - cp * pa, v * rc[-2] - cp * pb
+                x = bb * cc - bc * cb
+                if seen[k + 3] != 7:
+                    y, z = aa * cc - ac * ca, aa * bb - ab * ba
+                    s = ((1 if x > 0 else 2 if x else 4) | (1 if y > 0 else 2 if y else 4)
+                         | (1 if z > 0 else 2 if z else 4))
+                    seen[k + 3] |= s if v > 0 else _SWAP[s]
+                if seen[k + 4] != 7:
+                    x = aa * x - ab * (ba * cc - bc * ca) + ac * (ba * cb - bb * ca)
+                    s = 1 if x > 0 else 2 if x else 4
+                    seen[k + 4] |= s if d > 0 else _SWAP[s]
 
 
 def _zero_walk(seen: list[int], T: list[list[int]], d: int, k: int, E: list[int]) -> None:

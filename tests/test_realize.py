@@ -156,6 +156,82 @@ def test_principal_walk_equals_minor_by_minor_reference():
     assert below_zero >= 1200, below_zero
 
 
+def _tail_matrix(rng, n, kind):
+    """Matrices whose last rows meet zero and negative principal minors."""
+    if kind.startswith("negative"):  # -(B B^T + I): order-k principal minors have sign (-1)^k
+        U = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+        rows = [[-sum(U[i][t] * U[j][t] for t in range(n)) - (i == j) for j in range(n)]
+                for i in range(n)]
+    elif kind.startswith("rational"):
+        rows = _oracle_matrix(rng, n, "rational")
+    elif kind.startswith("rank"):
+        return _oracle_matrix(rng, n, kind)
+    else:
+        rows = _oracle_matrix(rng, n, "integer")
+    if kind.endswith("repeated") and n > 1:
+        # a row among the last three becomes a multiple of another row
+        i = rng.randrange(max(1, n - 3), n)
+        j = rng.choice([r for r in range(n) if r != i])
+        c = Fraction(rng.choice((-3, -1, 2)), rng.randint(1, 3)) if kind.startswith("rat") else 1
+        rows[i] = [c * x for x in rows[j]]
+    return rows
+
+
+def test_principal_walk_tail_signs():
+    # a child with t <= 3 indices after it is settled in closed form from its
+    # undivided numerators N: det N[F, F] is read over det A[S] for |F| = 1, 3
+    # and over v = det A[S+p] for |F| = 2 (t = 1 is the leaf, read over d);
+    # these matrices meet zero numerators at every such order and negative
+    # d and v, and each order's sign mask must match one determinant per minor
+    # (at n <= 6 also sympy's Berkowitz determinant, which does not use _det)
+    import sympy
+
+    rng = random.Random(93)
+    kinds = ("integer-repeated", "rational-repeated", "negative", "negative-repeated",
+             "rank-2", "rank-3")
+    hits = {}
+    for n in range(3, 10):
+        for kind in kinds:
+            for _ in range(3 if n <= 6 else 4):
+                rows = _tail_matrix(rng, n, kind)
+                B = RationalMatrix.from_rows(rows)
+                got = [t.sign_mask for t in sepr_of_matrix(B).terms]
+                assert got == _sepr_by_minors(B), (kind, B.to_text())
+                ints = realize._int_rows(B)
+                det = [1] + [realize._det(ints, mask_indices(m), mask_indices(m))
+                             for m in range(1, 1 << n)]
+                if n <= 6:
+                    S = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row]
+                                      for row in B.rows])
+                    want = [0] * n
+                    for m in range(1, 1 << n):
+                        idx = list(mask_indices(m))
+                        x = S.extract(idx, idx).det(method="berkowitz")
+                        want[len(idx) - 1] |= 1 if x > 0 else (2 if x < 0 else 4)
+                    assert got == want, (kind, B.to_text())
+                # the walk reaches S by nonzero minors when each of its prefixes is nonzero
+                chain = [True] * (1 << n)
+                for m in range(1, 1 << n):
+                    chain[m] = chain[m ^ 1 << (m.bit_length() - 1)] and det[m] != 0
+                for q in range(max(0, n - 4), n - 1):
+                    t = n - 1 - q
+                    for s in range(1 << q):
+                        c = s | 1 << q
+                        if not chain[s] or (t > 1 and det[c] == 0):
+                            continue
+                        for f in range(1 << (q + 1), 1 << n, 1 << (q + 1)):
+                            size = bin(f).count("1")
+                            den = det[c] if size == 2 else det[s]
+                            key = (t, size, "zero" if det[c | f] == 0 else "negative")
+                            if det[c | f] == 0 or den < 0:
+                                hits[key] = hits.get(key, 0) + 1
+    for t in (1, 2, 3):
+        for size in range(1, t + 1):
+            for what in ("zero", "negative"):
+                assert hits.get((t, size, what), 0) >= 100, (t, size, what, hits)
+    assert sum(hits.values()) >= 6000, hits
+
+
 def test_sepr_guard_budget():
     # at SEPR_ORDER_GUARD every shape of input finishes well inside its ceiling
     n = realize.SEPR_ORDER_GUARD
@@ -170,6 +246,9 @@ def test_sepr_guard_budget():
         "dense": [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)],
         "zero-diagonal": [[0 if i == j else rng.choice((-1, 1)) for j in range(n)]
                           for i in range(n)],
+        # the largest integer rows: each is scaled by the lcm of its denominators
+        "rational": [[Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(n)]
+                     for _ in range(n)],
     }
     for name, rows in cases.items():
         B = RationalMatrix.from_rows(rows)
