@@ -31,9 +31,7 @@ from .pattern import (
 )
 from .digraph import (
     CycleReport,
-    CycleSignStructure,
     DigraphFamily,
-    classify_cycle_sign_structure,
     cycle_report,
     is_irreducible,
     is_sign_semi_stable,

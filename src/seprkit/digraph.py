@@ -12,7 +12,6 @@ layers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from typing import Iterable, Iterator, Optional
 
 from .pattern import (
@@ -95,10 +94,11 @@ class CycleCapExceeded(OrderGuardError):
     pass
 
 
-def simple_cycles(P: SignPattern, cap: int = SIMPLE_CYCLE_CAP) -> Iterator[tuple[int, ...]]:
+def simple_cycles(P: SignPattern) -> Iterator[tuple[int, ...]]:
     """All simple directed cycles, each rooted at its smallest vertex.
 
-    Loops are length-1 cycles.  Raises CycleCapExceeded past `cap` cycles.
+    Loops are length-1 cycles.  Raises CycleCapExceeded past
+    SIMPLE_CYCLE_CAP cycles (read at call time).
     """
     succ = [[j for j, s in enumerate(row) if s is not Sign.ZERO] for row in P.rows]
     count = 0
@@ -116,8 +116,8 @@ def simple_cycles(P: SignPattern, cap: int = SIMPLE_CYCLE_CAP) -> Iterator[tuple
                 continue
             if w == root:
                 count += 1
-                if count > cap:
-                    raise CycleCapExceeded(f"more than {cap} simple cycles")
+                if count > SIMPLE_CYCLE_CAP:
+                    raise CycleCapExceeded(f"more than {SIMPLE_CYCLE_CAP} simple cycles")
                 yield tuple(path)
                 continue
             if w < root or w in on_path:
@@ -127,13 +127,16 @@ def simple_cycles(P: SignPattern, cap: int = SIMPLE_CYCLE_CAP) -> Iterator[tuple
             iters.append(iter(succ[w]))
 
 
-def _cycle_signs(P: SignPattern, cycle: tuple[int, ...]) -> tuple[Sign, Sign]:
-    """(product of arc signs, signed cycle product) for a simple cycle."""
+def _cycle_product(P: SignPattern, cycle: tuple[int, ...]) -> Sign:
+    """Product of the arc signs of a simple cycle."""
     prod = Sign.PLUS
     for a, b in zip(cycle, cycle[1:] + cycle[:1]):
         prod = prod * P.rows[a][b]
-    signed = prod if len(cycle) % 2 == 1 else -prod
-    return prod, signed
+    return prod
+
+
+def all_cycle_products_negative(P: SignPattern) -> bool:
+    return all(_cycle_product(P, c) is Sign.MINUS for c in simple_cycles(P))
 
 
 @dataclass(frozen=True)
@@ -319,49 +322,6 @@ def matching_number(P: SignPattern) -> int:
                 best = cand
         dp[mask] = best
     return dp[(1 << n) - 1]
-
-
-# ---------------------------------------------------------------------------
-# cycle sign classification
-
-class CycleSignStructure(Enum):
-    ALL_SIGNED_CYCLE_PRODUCTS_POSITIVE = "all-signed-cycle-products-positive"
-    ALL_CYCLE_PRODUCTS_NEGATIVE = "all-cycle-products-negative"
-    SIGNED_PRODUCTS_MATCH_PARITY = "signed-products-match-parity"
-    MIXED = "mixed"
-
-
-def classify_cycle_sign_structure(P: SignPattern, cap: int = SIMPLE_CYCLE_CAP) -> CycleSignStructure:
-    """Classify all simple-cycle products of the pattern's digraph.
-
-    Checked in the order listed in CycleSignStructure; a cycle-free
-    digraph satisfies everything vacuously and reports the first tag.
-    Note the parity rule (signed k-cycle product = (-1)^k) is equivalent
-    to every plain cycle product being negative.
-    """
-    all_signed_pos = True
-    all_prod_neg = True
-    for cyc in simple_cycles(P, cap):
-        prod, signed = _cycle_signs(P, cyc)
-        if signed is not Sign.PLUS:
-            all_signed_pos = False
-        if prod is not Sign.MINUS:
-            all_prod_neg = False
-        if not (all_signed_pos or all_prod_neg):
-            return CycleSignStructure.MIXED
-    if all_signed_pos:
-        return CycleSignStructure.ALL_SIGNED_CYCLE_PRODUCTS_POSITIVE
-    if all_prod_neg:
-        return CycleSignStructure.ALL_CYCLE_PRODUCTS_NEGATIVE
-    return CycleSignStructure.MIXED
-
-
-def all_cycle_products_negative(P: SignPattern) -> bool:
-    return all(_cycle_signs(P, c)[0] is Sign.MINUS for c in simple_cycles(P))
-
-
-def all_signed_cycle_products_positive(P: SignPattern) -> bool:
-    return all(_cycle_signs(P, c)[1] is Sign.PLUS for c in simple_cycles(P))
 
 
 # ---------------------------------------------------------------------------

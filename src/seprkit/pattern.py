@@ -210,21 +210,16 @@ def subpattern(P: SignPattern, rows: Iterable[int] | int, cols: Iterable[int] | 
 
 @dataclass(frozen=True)
 class DetSummary:
-    """Outcome of the sign-arithmetic determinant expansion.
-
-    `term_count_bound` is the number of term signs found (0, 1 or 2), a
-    lower bound on the number of nonzero terms.
-    """
+    """Outcome of the sign-arithmetic determinant expansion."""
 
     value: AmbSign
     has_positive_term: bool
     has_negative_term: bool
-    term_count_bound: int
 
     @classmethod
     def from_signs(cls, signs: int) -> "DetSummary":
         """Summary of the term-sign bits of `_term_signs`."""
-        return cls(_DET_VALUE[signs], bool(signs & 1), bool(signs & 2), signs.bit_count())
+        return cls(_DET_VALUE[signs], bool(signs & 1), bool(signs & 2))
 
     @property
     def has_term(self) -> bool:

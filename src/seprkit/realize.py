@@ -409,11 +409,6 @@ class MagnitudeGrid:
         return _DEFAULT_GRID
 
     @classmethod
-    def epsilon_preset(cls, n: int) -> "MagnitudeGrid":
-        """Unit magnitude plus the per-order small value 1/n!."""
-        return cls.of(1, Fraction(1, factorial(n)))
-
-    @classmethod
     def parse(cls, text: str) -> "MagnitudeGrid":
         return cls.of(*[t for t in text.split(",") if t.strip()])
 

@@ -58,31 +58,6 @@ class AmbSign(Enum):
     ZERO = "0"
     AMBIGUOUS = "ambiguous"
 
-    @classmethod
-    def from_sign(cls, s: Sign) -> "AmbSign":
-        return {Sign.PLUS: cls.PLUS, Sign.MINUS: cls.MINUS, Sign.ZERO: cls.ZERO}[s]
-
-    def to_sign(self) -> Sign:
-        if self is AmbSign.AMBIGUOUS:
-            raise ValueError("ambiguous value has no definite sign")
-        return {AmbSign.PLUS: Sign.PLUS, AmbSign.MINUS: Sign.MINUS, AmbSign.ZERO: Sign.ZERO}[self]
-
-    def add(self, other: "AmbSign") -> "AmbSign":
-        if AmbSign.AMBIGUOUS in (self, other):
-            return AmbSign.AMBIGUOUS
-        if self is AmbSign.ZERO:
-            return other
-        if other is AmbSign.ZERO or self is other:
-            return self
-        return AmbSign.AMBIGUOUS  # + plus - is ambiguous
-
-    def mul(self, other: "AmbSign") -> "AmbSign":
-        if AmbSign.ZERO in (self, other):
-            return AmbSign.ZERO
-        if AmbSign.AMBIGUOUS in (self, other):
-            return AmbSign.AMBIGUOUS
-        return AmbSign.from_sign(self.to_sign() * other.to_sign())
-
 
 class SeprSymbol(IntEnum):
     """The seven sepr symbols, in table order N, A+, A-, A*, S+, S-, S*."""
@@ -191,10 +166,6 @@ class SeprSequence:
         if not self.terms:
             raise ValueError("sepr-sequence must have length >= 1")
 
-    @property
-    def order(self) -> int:
-        return len(self.terms)
-
     def __len__(self) -> int:
         return len(self.terms)
 
@@ -230,10 +201,6 @@ class SeprSequence:
         if not terms:
             raise SequenceParseError(text, 0)
         return cls(tuple(terms))
-
-    @classmethod
-    def of(cls, *symbols: SeprSymbol) -> "SeprSequence":
-        return cls(tuple(symbols))
 
 
 def parse_sequence(text: str) -> SeprSequence:

@@ -3,13 +3,13 @@ import random
 
 import pytest
 
+from seprkit import digraph
 from seprkit.digraph import (
     MATCHING_ORDER_GUARD,
-    CycleSignStructure,
+    CycleCapExceeded,
     DigraphFamily,
     StabilityVerdict,
     all_cycle_products_negative,
-    classify_cycle_sign_structure,
     complete_pattern,
     cycle_pattern,
     cycle_report,
@@ -109,6 +109,18 @@ def test_simplify_examples():
 def test_simple_cycles():
     assert sorted(map(len, simple_cycles(cycle_pattern(4)))) == [4]
     assert sorted(map(len, simple_cycles(parse_pattern("-+\n-0")))) == [1, 2]
+
+
+def test_simple_cycle_cap(monkeypatch):
+    K5 = complete_pattern(5)  # 10 two-cycles, 20 + 30 + 24 longer ones
+    assert len(list(simple_cycles(K5))) == 84
+    assert issubclass(CycleCapExceeded, OrderGuardError)
+    monkeypatch.setattr(digraph, "SIMPLE_CYCLE_CAP", 50)
+    with pytest.raises(CycleCapExceeded):
+        list(simple_cycles(K5))
+    with pytest.raises(CycleCapExceeded):
+        cycle_report(K5)
+    assert len(list(simple_cycles(complete_pattern(4)))) == 20  # under the cap
 
 
 def composite_orders_oracle(P):
@@ -342,19 +354,15 @@ def test_matching_number():
         matching_number(cycle_pattern(MATCHING_ORDER_GUARD + 1))
 
 
-def test_classify_cycle_sign_structure():
-    skew_path = path_pattern(4)
-    assert classify_cycle_sign_structure(skew_path) is \
-        CycleSignStructure.ALL_SIGNED_CYCLE_PRODUCTS_POSITIVE
+def test_all_cycle_products_negative():
+    assert all_cycle_products_negative(path_pattern(4))  # every 2-cycle is + times -
     neg = parse_pattern("-+\n-0")  # loop -, 2-cycle product -
-    # signed 2-cycle product is +, so the positive rule fires first
     assert all_cycle_products_negative(neg)
-    allplus = parse_pattern("++\n++")
-    assert classify_cycle_sign_structure(allplus) is CycleSignStructure.MIXED
-    sns = parse_pattern("-+0\n0-+\n-0-")  # all cycle products negative
-    assert classify_cycle_sign_structure(sns) in (
-        CycleSignStructure.ALL_CYCLE_PRODUCTS_NEGATIVE,
-        CycleSignStructure.ALL_SIGNED_CYCLE_PRODUCTS_POSITIVE)
+    assert not all_cycle_products_negative(parse_pattern("++\n++"))
+    assert not all_cycle_products_negative(parse_pattern("-+\n+-"))  # 2-cycle product +
+    sns = parse_pattern("-+0\n0-+\n-0-")  # loops -, 3-cycle + + - is -
+    assert all_cycle_products_negative(sns)
+    assert all_cycle_products_negative(SignPattern.zero(3))  # no cycle at all
 
 
 def test_make_family_shapes():

@@ -11,7 +11,6 @@ import random
 from seprkit.digraph import (
     DigraphFamily,
     all_cycle_products_negative,
-    classify_cycle_sign_structure,
     cycle_report,
     is_irreducible,
     is_sign_semi_stable,
@@ -73,7 +72,6 @@ QUERIES = {
     "is_irreducible": is_irreducible,
     "is_sign_semi_stable": lambda P: _verdict(is_sign_semi_stable(P)),
     "is_sign_stable_irreducible": lambda P: _verdict(is_sign_stable_irreducible(P)),
-    "classify_cycle_sign_structure": lambda P: classify_cycle_sign_structure(P).value,
     "all_cycle_products_negative": all_cycle_products_negative,
     "to_dot": to_dot,
 }
@@ -88,7 +86,6 @@ PINNED = {
     "is_irreducible": "804618d114922ccd",
     "is_sign_semi_stable": "f071d447e6d40b04",
     "is_sign_stable_irreducible": "535c3d5cc924fd45",
-    "classify_cycle_sign_structure": "2da4472becabdad1",
     "all_cycle_products_negative": "1f5f5ea131a75716",
     "to_dot": "d61b679b7e1b0f56",
 }

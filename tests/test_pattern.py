@@ -116,12 +116,13 @@ def test_signed_det_term_flags():
     d = signed_det(parse_pattern("++\n--"))
     assert d.has_positive_term and d.has_negative_term
     d = signed_det(SignPattern.zero(2))
-    assert not d.has_term and d.term_count_bound == 0
+    assert not d.has_term
 
 
 def test_order_zero_det_is_plus():
     d = signed_det_masked(parse_pattern("0+\n-0"), 0, 0)
-    assert d.value is AmbSign.PLUS and d.term_count_bound == 1
+    assert d.value is AmbSign.PLUS
+    assert d.has_positive_term and not d.has_negative_term
 
 
 def test_is_ambiguous_examples():
@@ -170,7 +171,6 @@ def test_signed_det_matches_permutation_expansion():
                     d = signed_det_masked(P, rm, cm)
                     want = _expansion_signs(P, mask_indices(rm), mask_indices(rm if cm is None else cm))
                     assert (d.has_positive_term, d.has_negative_term) == want, (P.to_text(), rm, cm)
-                    assert d.term_count_bound == sum(want)
                     kinds.add((rm.bit_count(), cm is None or cm == rm))
                 table = principal_term_signs(P)
                 assert len(table) == 1 << n
@@ -198,7 +198,7 @@ def test_signed_det_guard_budget():
         t0 = perf_counter()
         d = signed_det(P)
         elapsed = perf_counter() - t0
-        assert d.value is AmbSign.ZERO and not d.has_term and d.term_count_bound == 0
+        assert d.value is AmbSign.ZERO and not d.has_term
         assert elapsed < ceiling_s, (P.to_text(), elapsed)
         assert not has_perfect_matching(bigraph(P))
 

@@ -259,6 +259,26 @@ def test_sepr_guard_budget():
         assert [t.sign_mask for t in got.terms] == _sepr_by_minors(B), name
 
 
+def test_fallback_sweep_guard_budget():
+    # a grid past the int64 bound at SEPR_ORDER_GUARD runs the exact rational
+    # fallback: budget 20 dense realizations settle well inside the ceiling
+    n = realize.SEPR_ORDER_GUARD
+    grid = MagnitudeGrid.of(1, 2, 3, 4)
+    assert factorial(n) * 4**n > 2**63 - 1
+    rng = random.Random(14)
+    P = SignPattern.from_rows([[rng.choice((-1, 1)) for _ in range(n)] for _ in range(n)])
+    start = time.perf_counter()
+    table = sweep_sepr_table(P, grid, budget=20)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 5.0, elapsed
+    assert 1 <= len(table) <= 20
+    for s, B in table.items():
+        assert B.sign_pattern() == P
+        assert {abs(x) for row in B.rows for x in row} <= set(grid.values)
+    s, B = next(iter(table.items()))
+    assert [t.sign_mask for t in s.terms] == _sepr_by_minors(B)
+
+
 def test_matrix_parse_roundtrip():
     text = "0 1/2 -3\n1 0 2/7\n-1 1 0"
     M = RationalMatrix.parse(text)
@@ -756,9 +776,9 @@ def test_distinct_sepr_search():
 
 def test_epsilon_grid_diagonal_sequences():
     # diagonal sign patterns realize the all-A sequences using magnitudes
-    # 1 and the small per-order epsilon
+    # 1 and the small value 1/4!
     P = parse_pattern("-000\n0-00\n00-0\n000-")
-    table = sweep_sepr_table(P, MagnitudeGrid.epsilon_preset(4), budget=10**4)
+    table = sweep_sepr_table(P, MagnitudeGrid.of(1, Fraction(1, 24)), budget=10**4)
     assert {str(s) for s in table} == {"A-A+A-A+"}
 
 

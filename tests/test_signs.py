@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from seprkit.signs import (
     ADD_TABLE,
     MUL_TABLE,
-    AmbSign,
     SeprSequence,
     SeprSymbol,
     SequenceParseError,
@@ -167,17 +166,6 @@ def test_sign_arithmetic():
     assert Sign.MINUS * Sign.MINUS is Sign.PLUS
     assert Sign.ZERO * Sign.MINUS is Sign.ZERO
     assert -Sign.PLUS is Sign.MINUS
-
-
-def test_ambsign_rules():
-    A = AmbSign
-    assert A.PLUS.add(A.MINUS) is A.AMBIGUOUS
-    assert A.PLUS.add(A.ZERO) is A.PLUS
-    assert A.MINUS.add(A.MINUS) is A.MINUS
-    assert A.AMBIGUOUS.add(A.ZERO) is A.AMBIGUOUS
-    assert A.AMBIGUOUS.mul(A.ZERO) is A.ZERO
-    assert A.AMBIGUOUS.mul(A.PLUS) is A.AMBIGUOUS
-    assert A.MINUS.mul(A.MINUS) is A.PLUS
 
 
 def test_combine_matches_block_matrix_oracle():
