@@ -6,6 +6,7 @@ such sequences exactly for rational matrices, lifts the notion to sign
 patterns (signed determinants, fixed terms, sepr-sets), tests qualitative
 stability, and ships an exhaustive small-order verification harness.
 """
+from types import ModuleType as _ModuleType
 
 from .signs import (
     AmbSign,
@@ -70,5 +71,6 @@ from .analysis import (
     unique_verdict,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [name for name in dir()  # the API, not the submodules that importing it binds here
+           if not name.startswith("_") and not isinstance(globals()[name], _ModuleType)]
 __version__ = "0.1.0"

@@ -159,8 +159,7 @@ def unique_verdict(P: SignPattern, search_budget: int = 4000,
     if all(v.fixed for v in verdicts):
         seq = SeprSequence(tuple(v.symbol for v in verdicts))
         return UniqueVerdict(UniqueStatus.UNIQUE_BY_FIXED_TERMS, seq, verdicts)
-    found = _witness_search(P, [m for v in verdicts for m in v.ambiguous_masks],
-                            search_budget, seed, grid, signs, memo)
+    found = _witness_search(P, search_budget, seed, grid, signs, memo)
     if found is not None:
         return UniqueVerdict(UniqueStatus.NOT_UNIQUE, None, verdicts, found)
     if P.n <= 4:

@@ -43,8 +43,7 @@ from .pattern import SignPattern
 from .realize import (
     MagnitudeGrid,
     RationalMatrix,
-    _first_witnesses,
-    _sequence_from_code,
+    _sym_sweep,
     ones_realization,
     sepr_of_matrix,
     sweep_sepr_table,
@@ -383,25 +382,6 @@ EMBEDDED_ORDER3_WITNESSES: dict[str, tuple[tuple[Fraction, ...], ...]] = {
     }.items()
 }
 
-# entry (i, j) of a symmetric 3x3 matrix, row-major, as a digit of (d1, d2, d3, u12, u13, u23)
-_SYM3_DIGIT = [0, 3, 4, 3, 1, 5, 4, 5, 2]
-
-
-def _sym3_sweep(values: list[int]) -> dict[str, RationalMatrix]:
-    """Sepr-sequences of all symmetric 3x3 matrices with entries from `values`.
-
-    The exhaustive digit stream over (d1, d2, d3, u12, u13, u23) runs through
-    the batched sweep of the all-+ 3x3 pattern; returns one witness each,
-    the first in stream order.
-    """
-    vals = np.array(values, dtype=np.int64)
-    found = _first_witnesses(SignPattern.from_rows([[1] * 3] * 3), len(vals), 6,
-                             len(vals) ** 6, 0, 0, lambda part: vals[part[:, _SYM3_DIGIT]].T)
-    return {str(_sequence_from_code(c, 3)):
-            RationalMatrix.from_rows([[values[dg[t]] for t in _SYM3_DIGIT[3 * i:3 * i + 3]]
-                                      for i in range(3)])
-            for c, dg in found.items()}
-
 
 def verify_order3_nonneg_catalog() -> VerificationReport:
     """Reproduce the catalog of order-3 symmetric nonnegative sequences.
@@ -423,7 +403,7 @@ def verify_order3_nonneg_catalog() -> VerificationReport:
     missing = set(ORDER3_NONNEG_SEQUENCES) - set(EMBEDDED_ORDER3_WITNESSES)
     searched: dict[str, RationalMatrix] = {}
     for values in (list(range(7)), list(range(16))):
-        table = _sym3_sweep(values)
+        table = {str(s): B for s, B in _sym_sweep(3, values).items()}
         outside = set(table) - ORDER3_NONNEG_SEQUENCES
         if outside:
             failures.append({"sweep-values": values, "outside-catalog": sorted(outside)})
@@ -438,13 +418,13 @@ def verify_order3_nonneg_catalog() -> VerificationReport:
         failures.append({"witness-not-found": sorted(missing)})
 
     default_values = [0] + list(MagnitudeGrid.default().int_scaled())
-    sweep = _sym3_sweep(default_values)
+    sweep = {str(s) for s in _sym_sweep(3, default_values)}
     counts["default-grid-sweep"] = len(default_values) ** 6
     counts["default-grid-distinct"] = len(sweep)
-    outside = set(sweep) - ORDER3_NONNEG_SEQUENCES
+    outside = sweep - ORDER3_NONNEG_SEQUENCES
     if outside:
         failures.append({"default-sweep-outside-catalog": sorted(outside)})
-    hit_excluded = set(sweep) & ORDER3_NONNEG_EXCLUDED
+    hit_excluded = sweep & ORDER3_NONNEG_EXCLUDED
     if hit_excluded:
         failures.append({"excluded-sequence-realized": sorted(hit_excluded)})
     return _report("order3-nonneg-catalog", t0, failures, counts,

@@ -40,6 +40,7 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from .pattern import (
+    DET_ORDER_GUARD,
     OrderGuardError,
     SignPattern,
     _check_masks,
@@ -48,9 +49,8 @@ from .pattern import (
     _principal_table,
     _term_signs,
     mask_indices,
-    signed_det_masked,
 )
-from .signs import AmbSign, SeprSequence, SeprSymbol, Sign, neg_superscripts
+from .signs import SeprSequence, SeprSymbol, Sign, neg_superscripts
 
 SEPR_ORDER_GUARD = 14
 ALLNONZERO_ORDER_GUARD = 10
@@ -493,15 +493,9 @@ def grid_realizations(P: SignPattern, grid: Optional[MagnitudeGrid] = None,
 # ---------------------------------------------------------------------------
 # batched exact sweep
 
-# minor-sign bitmask (1 pos, 2 neg, 4 zero) -> SeprSymbol value
-_SYMBOL_LUT = np.array([0] + [int(SeprSymbol.from_sign_mask(m)) for m in range(1, 8)],
-                       dtype=np.int64)
-_SYMBOLS = tuple(SeprSymbol)  # by value
-
-
 def _sequence_from_code(code: int, n: int) -> SeprSequence:
-    """Decode n base-7 symbol digits, the first position most significant."""
-    return SeprSequence(tuple(_SYMBOLS[code // 7**k % 7] for k in reversed(range(n))))
+    """Decode n 3-bit sign masks (1 +, 2 -, 4 zero), the first position most significant."""
+    return sepr_sequence_of_minor_signs([code >> 3 * k & 7 for k in reversed(range(n))])
 
 
 @lru_cache(maxsize=None)
@@ -550,7 +544,7 @@ def _sweep_plan(P: SignPattern) -> list[tuple[np.ndarray, np.ndarray, np.ndarray
 
 def _slice_codes(plan: list[tuple[np.ndarray, np.ndarray, np.ndarray]],
                  entries: np.ndarray) -> np.ndarray:
-    """Base-7 sepr codes of a slice; `entries` is (nonzero entries, realizations)."""
+    """Sepr codes of a slice, 3-bit sign masks by order; `entries` is (entries, realizations)."""
     width = entries.shape[1]
     stack = np.concatenate([entries, -entries, np.zeros((1, width), dtype=np.int64)])
     prev = np.ones((1, width), dtype=np.int64)
@@ -564,26 +558,29 @@ def _slice_codes(plan: list[tuple[np.ndarray, np.ndarray, np.ndarray]],
             cur += term
         prev = cur
         d = cur[principal]
-        seen = (d > 0).any(0) + 2 * (d < 0).any(0) + 4 * (d == 0).any(0)
-        code = code * 7 + _SYMBOL_LUT[seen]
+        code = code << 3 | (d > 0).any(0) | (d < 0).any(0) << 1 | (d == 0).any(0) << 2
     return code
 
 
-def _first_witnesses(P: SignPattern, g: int, nd: int, budget: int, seed: int, canonical: int,
-                     entries) -> dict[int, np.ndarray]:
-    """First digit row of each base-7 sepr code over `_digit_batches(g, nd, budget, seed,
-    canonical)`, in stream order; `entries` maps digit rows to P's nonzero entries."""
+def _first_witnesses(P: SignPattern, slot: np.ndarray, values: np.ndarray, budget: int,
+                     seed: int, canonical: int) -> dict[int, np.ndarray]:
+    """First digit row of each sepr code over the digit stream of `_digit_batches`, in
+    stream order.  A realization is a digit row: P's t-th nonzero entry is its sign
+    times values[digit slot[t]], so entries that share a slot stay equal."""
     plan = _sweep_plan(P)
+    positions = P.nonzero_positions()
+    signs = np.array([int(P.rows[i][j]) for i, j in positions], dtype=np.int64)[:, None]
     # int64 rows live at once: the entry stack, the previous level, and the
     # current level with one term and its gathered sub-minors
     sizes = [len(sub[0]) for _, sub, _ in plan]
-    live = 2 * len(P.nonzero_positions()) + 1 + max(p + 3 * c for p, c in zip([1] + sizes, sizes))
+    live = 2 * len(positions) + 1 + max(p + 3 * c for p, c in zip([1] + sizes, sizes))
     width = max(1, _SWEEP_BYTES // (8 * live))
     found: dict[int, np.ndarray] = {}
-    for digits in _digit_batches(g, nd, budget, seed, canonical):
+    nd = int(slot.max(initial=-1)) + 1
+    for digits in _digit_batches(len(values), nd, budget, seed, canonical):
         for lo in range(0, len(digits), width):
             part = digits[lo:lo + width]
-            codes = _slice_codes(plan, entries(part))
+            codes = _slice_codes(plan, signs * values[part[:, slot].T])
             for fi in np.sort(np.unique(codes, return_index=True)[1]).tolist():
                 if int(codes[fi]) not in found:
                     found[int(codes[fi])] = part[fi].copy()
@@ -607,16 +604,32 @@ def sweep_sepr_table(P: SignPattern, grid: Optional[MagnitudeGrid] = None,
     # is a sum of at most j! permutation terms of size at most M**j
     if factorial(P.n) * max(grid.int_scaled()) ** P.n <= _INT64_MAX:
         positions = P.nonzero_positions()
-        signs = np.array([int(P.rows[i][j]) for i, j in positions], dtype=np.int64)
-        vals = np.array(grid.int_scaled(), dtype=np.int64)
-        found = _first_witnesses(P, len(vals), len(positions), budget, seed,
-                                 grid.canonical_digit(), lambda part: signs[:, None] * vals[part.T])
+        found = _first_witnesses(P, np.arange(len(positions)),
+                                 np.array(grid.int_scaled(), dtype=np.int64), budget, seed,
+                                 grid.canonical_digit())
         return {_sequence_from_code(c, P.n): _matrix_from_digits(P, grid, positions, d)
                 for c, d in found.items()}
     out: dict[SeprSequence, RationalMatrix] = {}
     for B in grid_realizations(P, grid, budget, seed):
         out.setdefault(sepr_of_matrix(B), B)
     return out
+
+
+def _sym_sweep(n: int, values: Sequence[int]) -> dict[SeprSequence, RationalMatrix]:
+    """Sepr-sequences of all symmetric n x n matrices with entries from `values`,
+    one witness each, the first in stream order.
+
+    The exhaustive digit stream over the diagonal cells and then the pairs
+    i < j runs through the batched sweep of the all-+ n x n pattern; entry
+    (i, j) and entry (j, i) read the digit of {i, j}.
+    """
+    cells = [(i, i) for i in range(n)] + list(combinations(range(n), 2))
+    slot = [cells.index((min(i, j), max(i, j))) for i in range(n) for j in range(n)]
+    found = _first_witnesses(SignPattern.from_rows([[1] * n] * n), np.array(slot),
+                             np.array(values, dtype=np.int64), len(values) ** len(cells), 0, 0)
+    return {_sequence_from_code(c, n): RationalMatrix.from_rows(
+                [[values[dg[t]] for t in slot[n * i:n * i + n]] for i in range(n)])
+            for c, dg in found.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -671,6 +684,14 @@ def _targeted(P: SignPattern, idx: Sequence[int],
     raise RealizationError("sign never flipped walking between dominated realizations")
 
 
+def _minor_indices(P: SignPattern, mask: int) -> tuple[int, ...]:
+    """The indices of `mask`, an index set of P whose minor `_targeted` may search."""
+    _check_masks(P, mask)
+    if mask.bit_count() > DET_ORDER_GUARD:
+        raise OrderGuardError(f"signed determinant limited to order {DET_ORDER_GUARD}")
+    return mask_indices(mask)
+
+
 def dominated_realization(P: SignPattern, mask: int, target: Sign) -> Optional[RationalMatrix]:
     """Realization whose minor on `mask` provably has sign `target`.
 
@@ -682,49 +703,42 @@ def dominated_realization(P: SignPattern, mask: int, target: Sign) -> Optional[R
     """
     if target is Sign.ZERO:
         raise ValueError("use zero_minor_realization for a zero target")
-    _check_masks(P, mask)
     return next((RationalMatrix.from_rows(rows) for sign, rows, _ in
-                 _targeted(P, mask_indices(mask), {}) if sign is target), None)
+                 _targeted(P, _minor_indices(P, mask), {}) if sign is target), None)
 
 
 def zero_minor_realization(P: SignPattern, mask: int) -> Optional[RationalMatrix]:
-    """Exact rational realization with det B[mask] = 0.
+    """Exact rational realization with det B[mask] = 0; None when all its terms share a sign.
 
     For an ambiguous minor, walks one entry at a time from a negative
     witness to a positive one, both integral; the determinant is linear in
     each entry, so the crossing yields an exact rational zero with a valid
     entry sign.
     """
-    if signed_det_masked(P, mask).value not in (AmbSign.ZERO, AmbSign.AMBIGUOUS):
-        return None
-    for sign, rows, dens in _targeted(P, mask_indices(mask), {}):
-        if sign is Sign.ZERO:
-            return _rational(rows, dens)
-    raise RealizationError("no dominated realization of an ambiguous minor")
+    return next((_rational(rows, dens) for sign, rows, dens in
+                 _targeted(P, _minor_indices(P, mask), {}) if sign is Sign.ZERO), None)
 
 
-def distinct_sepr_search(P: SignPattern, ambiguous_masks: Sequence[int], budget: int = 4000,
-                         seed: int = 0, grid: Optional[MagnitudeGrid] = None,
+def distinct_sepr_search(P: SignPattern, budget: int = 4000, seed: int = 0,
+                         grid: Optional[MagnitudeGrid] = None,
                          ) -> Optional[tuple[RationalMatrix, SeprSequence, RationalMatrix, SeprSequence]]:
     """Look for two realizations of P with different sepr-sequences.
 
-    `ambiguous_masks` are the principal masks whose minors have terms of
-    both signs, by order then mask as `term_verdicts` lists them.
-    Candidates: the all-unit realization, targeted realizations for the
-    first 24 ambiguous minors (dominated +, dominated -, exact zero), the
-    realization with all ambiguous minors nonzero, then grid samples up to
-    the budget.  Each candidate (integer rows) reads every sign-determined
-    principal minor (one whose terms share a sign) from the principal
-    term-sign table, built here, and evaluates only the ambiguous ones.
+    Candidates: the all-unit realization, targeted realizations (dominated +,
+    dominated -, exact zero) for the first 24 ambiguous principal minors, by
+    order then mask as `term_verdicts` lists them, the realization with all
+    ambiguous minors nonzero, then grid samples up to the budget.  Each
+    candidate (integer rows) reads every sign-determined principal minor (one
+    whose terms share a sign) from the principal term-sign table, built here,
+    and evaluates only the ambiguous ones (terms of both signs).
     """
     if P.n > SEPR_ORDER_GUARD:
         raise OrderGuardError(f"sepr computation limited to order {SEPR_ORDER_GUARD}")
-    _check_masks(P, *ambiguous_masks[:24])
-    return _witness_search(P, ambiguous_masks, budget, seed, grid, *_principal_table(P))
+    return _witness_search(P, budget, seed, grid, *_principal_table(P))
 
 
-def _witness_search(P: SignPattern, ambiguous_masks: Sequence[int], budget: int, seed: int,
-                    grid: Optional[MagnitudeGrid], signs: list[int], memo: dict,
+def _witness_search(P: SignPattern, budget: int, seed: int, grid: Optional[MagnitudeGrid],
+                    signs: list[int], memo: dict,
                     ) -> Optional[tuple[RationalMatrix, SeprSequence, RationalMatrix, SeprSequence]]:
     """distinct_sepr_search on P's principal term-sign table `signs` and the
     memo that built it; only the two witnesses returned become RationalMatrix."""
@@ -732,16 +746,17 @@ def _witness_search(P: SignPattern, ambiguous_masks: Sequence[int], budget: int,
     if n > SEPR_ORDER_GUARD:
         raise OrderGuardError(f"sepr computation limited to order {SEPR_ORDER_GUARD}")
     fixed, ambiguous = [0] * n, []  # by order - 1: sign bits (1 +, 2 -, 4 zero) of the rest
-    for m in range(1, 1 << n):
-        if signs[m] == 3:
-            ambiguous.append((m.bit_count() - 1, mask_indices(m)))
-        else:
-            fixed[m.bit_count() - 1] |= signs[m] or 4
+    for k, masks in enumerate(_masks_by_size(n)[1:]):
+        for m in masks:
+            if signs[m] == 3:
+                ambiguous.append((k, mask_indices(m)))
+            else:
+                fixed[k] |= signs[m] or 4
 
     def candidates() -> Iterator[tuple[list[list[int]], list[int]]]:
         yield [[int(s) for s in row] for row in P.rows], [1] * n
-        for mask in ambiguous_masks[:24]:
-            for _, rows, dens in _targeted(P, mask_indices(mask), memo):
+        for _, idx in ambiguous[:24]:
+            for _, rows, dens in _targeted(P, idx, memo):
                 yield rows, dens
         if n <= ALLNONZERO_ORDER_GUARD:
             yield _allnonzero_rows(P, memo)

@@ -5,7 +5,7 @@ from time import perf_counter
 import numpy as np
 import pytest
 
-from seprkit.analysis import UniqueStatus, fixed_sequence, unique_verdict
+from seprkit.analysis import UniqueStatus, fixed_sequence, nonneg_sequence_check, unique_verdict
 from seprkit.digraph import _is_forest, is_irreducible, is_sign_semi_stable, simplify
 from seprkit.enumeration import (
     EnumerationBudgetExceeded,
@@ -13,7 +13,6 @@ from seprkit.enumeration import (
     PatternFamily,
     VerificationReport,
     _forest_edge_sets,
-    _sym3_sweep,
     enumerate_patterns,
     family_size,
     orbit_representatives,
@@ -28,8 +27,8 @@ from seprkit.pattern import SignPattern
 from seprkit.realize import (
     MagnitudeGrid,
     RationalMatrix,
-    _SYMBOL_LUT,
     _sequence_from_code,
+    _sym_sweep,
     sepr_of_matrix,
 )
 from seprkit.signs import SeprSequence, SeprSymbol, Sign
@@ -125,7 +124,7 @@ def test_semistable_sequence_fast_path():
 
 
 def test_sym3_sweep_small():
-    table = _sym3_sweep([0, 1])
+    table = {str(s): M for s, M in _sym_sweep(3, [0, 1]).items()}
     assert set(table) <= ORDER3_NONNEG_SEQUENCES
     assert "NNN" in table and "A+A+A+" in table
     for seq, M in table.items():
@@ -161,7 +160,7 @@ def _sym3_kernel(values, chunk=1 << 17):
         s1 = bits(d1) | bits(d2) | bits(d3)
         s2 = bits(m12) | bits(m13) | bits(m23)
         s3 = bits(det)
-        code = (_SYMBOL_LUT[s1] * 7 + _SYMBOL_LUT[s2]) * 7 + _SYMBOL_LUT[s3]
+        code = (s1 << 3 | s2) << 3 | s3
         uniq, first = np.unique(code, return_index=True)
         for c, fi in zip(uniq.tolist(), first.tolist()):
             if c not in found:
@@ -178,10 +177,21 @@ def test_sym3_sweep_equals_hand_written_kernel():
     # the batched sweep of the all-+ 3x3 pattern finds the same sequences
     # and the same first witnesses as the closed-form kernel
     for values in (list(range(7)), [0, 1], [0] + list(MagnitudeGrid.default().int_scaled())):
-        got, want = _sym3_sweep(values), _sym3_kernel(values)
+        got, want = {str(s): M for s, M in _sym_sweep(3, values).items()}, _sym3_kernel(values)
         assert set(got) == set(want) and len(got) >= 14, values
         assert {s: M.to_text() for s, M in got.items()} == \
             {s: M.to_text() for s, M in want.items()}, values
+
+
+def test_sym4_sweep_within_the_nonneg_laws():
+    # every symmetric 4x4 matrix with entries 0..3 (4**10 of them) realizes
+    # 105 sequences; each passes the laws and its witness realizes it
+    table = _sym_sweep(4, range(4))
+    assert len(table) == 105
+    for seq, M in table.items():
+        assert nonneg_sequence_check(seq).ok, (str(seq), nonneg_sequence_check(seq).violations)
+        assert all(M.entry(i, j) == M.entry(j, i) >= 0 for i in range(4) for j in range(4))
+        assert sepr_of_matrix(M) == seq
 
 
 def test_symbol_algebra_report():

@@ -12,8 +12,8 @@ from pathlib import Path
 
 import pytest
 
-from seprkit.analysis import term_verdicts
 from seprkit.pattern import (
+    DET_ORDER_GUARD,
     OrderGuardError,
     SignPattern,
     _first_terms,
@@ -758,20 +758,16 @@ def test_inverse_relation_both_branches():
             seen_neg += 1
 
 
-def _ambiguous_masks(P):
-    return [m for v in term_verdicts(P) for m in v.ambiguous_masks]
-
-
 def test_distinct_sepr_search():
     P = parse_pattern("++\n--")
-    found = distinct_sepr_search(P, _ambiguous_masks(P))
+    found = distinct_sepr_search(P)
     assert found is not None
     b1, s1, b2, s2 = found
     assert s1 != s2
     assert sepr_of_matrix(b1) == s1 and sepr_of_matrix(b2) == s2
     # a pattern with every term fixed has nothing to find
     P = parse_pattern("0+\n-0")
-    assert distinct_sepr_search(P, _ambiguous_masks(P), budget=200) is None
+    assert distinct_sepr_search(P, budget=200) is None
 
 
 def test_epsilon_grid_diagonal_sequences():
@@ -798,6 +794,20 @@ def test_order_guards():
         allnonzero_realization(SignPattern.zero(11))
     with pytest.raises(OrderGuardError):
         verify_inverse_relation(RationalMatrix.identity(7))
+
+
+def test_targeted_constructors_guard_the_term_sign_order():
+    # one order past the term-sign recursion's guard both refuse at once; the
+    # dominated construction on this one-term minor takes about 0.5 s without one
+    n = DET_ORDER_GUARD + 1
+    P = SignPattern(tuple(tuple(Sign.PLUS if j >= i else Sign.ZERO for j in range(n))
+                          for i in range(n)))
+    for call in (lambda: dominated_realization(P, full_mask(n), Sign.PLUS),
+                 lambda: zero_minor_realization(P, full_mask(n))):
+        t0 = time.perf_counter()
+        with pytest.raises(OrderGuardError):
+            call()
+        assert time.perf_counter() - t0 < 0.1
 
 
 def test_matrix_sequences_end_in_definite_symbol():
