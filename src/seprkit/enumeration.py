@@ -106,7 +106,7 @@ def _stacked_rows(tails: list[list[tuple[Sign, ...]]], symmetric: bool) -> Itera
         head = tuple(r[i] for r in rows) if symmetric else ()
         if i == len(tails) - 1:
             for tail in tails[i]:
-                yield SignPattern(rows + (head + tail,))
+                yield SignPattern._trusted(rows + (head + tail,))
         else:
             for tail in tails[i]:
                 yield from grow(rows + (head + tail,))
@@ -156,7 +156,7 @@ def simplified_semistable_patterns(n: int) -> Iterator[SignPattern]:
                 rows[v][v] = Sign.MINUS
                 choices.append((plain, tuple(rows[v])))
             for picked in product(*choices):
-                yield SignPattern(picked[::-1])
+                yield SignPattern._trusted(picked[::-1])
 
 
 def _satisfies(P: SignPattern, constraints: frozenset[str]) -> bool:
@@ -213,7 +213,7 @@ def _pattern_from_index(n: int, idx: int) -> SignPattern:
     """The pattern coded row-major in base 3: entry (0, 0) is the lowest
     digit, and digits 0, 1, 2 are 0, +, -."""
     signs = [(Sign.ZERO, Sign.PLUS, Sign.MINUS)[idx // 3**t % 3] for t in range(n * n)]
-    return SignPattern(tuple(tuple(signs[i * n:i * n + n]) for i in range(n)))
+    return SignPattern._trusted(tuple(tuple(signs[i * n:i * n + n]) for i in range(n)))
 
 
 def _orbit_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -594,7 +594,7 @@ def _broom_ditree(n: int, m: int) -> SignPattern:
         edge(i, i + 1)
     for extra in range(2 * m, n):
         edge(0, extra)
-    return SignPattern(tuple(tuple(r) for r in rows))
+    return SignPattern._trusted(tuple(tuple(r) for r in rows))
 
 
 def _matching_sequence(n: int, m: int) -> tuple[SeprSymbol, ...]:

@@ -73,7 +73,7 @@ def full_mask(n: int) -> int:
 
 @dataclass(frozen=True)
 class SignPattern:
-    """Immutable square sign grid."""
+    """Immutable square sign grid; an entry that is not a Sign is read as the sign of its value."""
 
     rows: tuple[tuple[Sign, ...], ...]
 
@@ -83,6 +83,15 @@ class SignPattern:
         for row in self.rows:
             if len(row) != len(self.rows):
                 raise ValueError("pattern must be square")
+        if not all(type(s) is Sign for row in self.rows for s in row):
+            object.__setattr__(self, "rows", tuple(tuple(map(Sign.of, row)) for row in self.rows))
+
+    @classmethod
+    def _trusted(cls, rows: tuple[tuple[Sign, ...], ...]) -> "SignPattern":
+        """A pattern on rows that are square and all Signs by construction, unchecked."""
+        P = object.__new__(cls)
+        object.__setattr__(P, "rows", rows)
+        return P
 
     # -- construction -------------------------------------------------------
 

@@ -23,9 +23,14 @@ The grid sweep evaluates all principal minors of a batch of realizations
 at once, in int64, by one shared Laplace recursion over minors.  It runs
 whenever n! * M**n <= 2**63 - 1, with M the largest grid magnitude scaled
 to an integer; no intermediate value can then overflow (the default grid,
-M = 36, admits n <= 8).  Other grids are swept one exact rational
-realization at a time.  Batches are cut into slices whose live arrays stay
-within _SWEEP_BYTES (1 MiB), unless one realization alone needs more.
+M = 36, admits n <= 8).  Per pattern, the recursion keeps only its live
+terms: a term through a zero entry or a term-free sub-minor is 0 in every
+realization, and a principal minor with no term reads as a constant zero.
+Other grids are swept one exact rational realization at a time.  Batches
+are cut into slices whose live arrays stay within _SWEEP_BYTES (1 MiB),
+unless one realization alone needs more.  A digit stream of one batch and
+at most _STREAM_BYTES is drawn once and kept, read-only, for every pattern
+that shares its grid size, nonzero count, budget and seed.
 """
 from __future__ import annotations
 
@@ -33,7 +38,7 @@ from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import combinations, islice
+from itertools import combinations, cycle, islice, zip_longest
 from math import factorial, isqrt, lcm
 from typing import Iterator, Optional, Sequence
 
@@ -58,6 +63,8 @@ INVERSE_ORDER_GUARD = 6
 _CHUNK = 1 << 14
 _INT64_MAX = 2**63 - 1
 _SWEEP_BYTES = 1 << 20
+_STREAM_BYTES = 1 << 18  # per memoized digit stream; `_digit_stream` keeps 8, 2 MiB at most
+_SIGN_BITS = np.array([4, 1, 2])  # the sign mask of np.sign's 0, 1 and -1 (the last)
 _SWAP = (0, 2, 1, 3, 4, 6, 5, 7)  # a sign mask (1 +, 2 -, 4 zero) with + and - exchanged
 
 
@@ -464,6 +471,15 @@ def _digit_batches(g: int, nnz: int, budget: int, seed: int,
         yield np.concatenate([head, draws]) if start == 1 else draws
 
 
+@lru_cache(maxsize=8)
+def _digit_stream(g: int, nnz: int, budget: int, seed: int, canonical: int) -> np.ndarray:
+    """The one batch of a short `_digit_batches` stream, read-only, kept for reuse:
+    the stream depends on these numbers alone, so patterns that share them share it."""
+    (digits,) = _digit_batches(g, nnz, budget, seed, canonical)
+    digits.flags.writeable = False
+    return digits
+
+
 def _matrix_from_digits(P: SignPattern, grid: MagnitudeGrid,
                         positions: Sequence[tuple[int, int]], digits) -> RationalMatrix:
     signed = grid._signed
@@ -493,6 +509,7 @@ def grid_realizations(P: SignPattern, grid: Optional[MagnitudeGrid] = None,
 # ---------------------------------------------------------------------------
 # batched exact sweep
 
+@lru_cache(maxsize=1024)
 def _sequence_from_code(code: int, n: int) -> SeprSequence:
     """Decode n 3-bit sign masks (1 +, 2 -, 4 zero), the first position most significant."""
     return sepr_sequence_of_minor_signs([code >> 3 * k & 7 for k in reversed(range(n))])
@@ -527,38 +544,81 @@ def _minor_levels(n: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ..
     return tuple(levels)
 
 
-def _sweep_plan(P: SignPattern) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Per level of `_minor_levels`: the stack rows of its terms' entries,
-    its sub-minor rows and its principal rows.  The stack holds P's nonzero
-    entries in `nonzero_positions` order, their negations, then one zero
-    row, which every term through a zero entry of P reads.
+# (levels, zero) of `_sweep_plan`, each level (c, s, ends, principal rows, shift)
+_Plan = tuple[list[tuple[np.ndarray, np.ndarray, list[int], np.ndarray, int]], int]
+
+
+def _sweep_plan(P: SignPattern) -> _Plan:
+    """What of `_minor_levels` can be nonzero: (levels, zero).
+
+    A term through a zero entry of P, or through a sub-minor with no term, is
+    0 in every realization, and so is a minor with no live term.  A level's
+    live minors are its rows, sorted by live-term count, most first, and its
+    live terms are listed slot by slot: slot t holds the t-th live term of
+    every minor that has one, a prefix of the rows.  Each level is (stack rows
+    of the terms' entries, their sub-minor rows, where each slot ends, rows of
+    the live principal minors, the place of its order's sign mask in the
+    code); the stack holds P's nonzero entries in `nonzero_positions` order,
+    then their negations.  The levels end at the last one with a live minor.
+    `zero` holds the zero bits of the orders where some principal minor has
+    no term.
     """
     n = P.n
-    nonzero = np.flatnonzero([s is not Sign.ZERO for row in P.rows for s in row])
-    k = len(nonzero)
-    row = np.full(2 * n * n, 2 * k, dtype=np.int64)
-    row[nonzero] = np.arange(k)
-    row[nonzero + n * n] = np.arange(k, 2 * k)
-    return [(row[entry], sub, principal) for entry, sub, principal in _minor_levels(n)]
+    row = [-1] * (2 * n * n)  # -1: a zero entry
+    positions = P.nonzero_positions()
+    for e, (i, j) in enumerate(positions):
+        row[i * n + j], row[i * n + j + n * n] = e, e + len(positions)
+    rank = [0]  # row of each minor one level down, -1: no term
+    levels, zero = [], 0
+    for j, (entry, sub, principal) in enumerate(_minor_levels(n), start=1):
+        count = entry.shape[1]
+        terms = [[] for _ in range(count)]  # per minor, its live terms' stack and sub-minor rows
+        # the tables run term by term, each over every minor
+        for into, c, s in zip(cycle(terms), map(row.__getitem__, memoryview(entry.ravel())),
+                              map(rank.__getitem__, memoryview(sub.ravel()))):
+            if c >= 0 and s >= 0:
+                into += c, s
+        by_count = [[] for _ in range(j + 1)]
+        for m, t in enumerate(terms):
+            by_count[len(t) // 2].append(m)
+        order = [m for ms in by_count[:0:-1] for m in ms]
+        if not order:
+            zero |= sum(4 << 3 * (n - i) for i in range(j, n + 1))
+            break
+        rank = [-1] * count
+        for r, m in enumerate(order):
+            rank[m] = r
+        rows = [r for r in map(rank.__getitem__, principal.tolist()) if r >= 0]
+        if len(rows) < len(principal):
+            zero |= 4 << 3 * (n - j)
+        c, s, ends = [], [], []
+        slots = zip_longest(*[terms[m] for m in order])  # per slot, its stack rows, then sub-minor rows
+        for cs, ss in zip(slots, slots):
+            k = cs.index(None) if None in cs else len(cs)
+            c += cs[:k]
+            s += ss[:k]
+            ends.append(len(c))
+        levels.append((np.array(c, dtype=np.int64), np.array(s, dtype=np.int64), ends,
+                       np.array(rows, dtype=np.int64), 3 * (n - j)))
+    return levels, zero
 
 
-def _slice_codes(plan: list[tuple[np.ndarray, np.ndarray, np.ndarray]],
-                 entries: np.ndarray) -> np.ndarray:
+def _slice_codes(plan: _Plan, entries: np.ndarray) -> np.ndarray:
     """Sepr codes of a slice, 3-bit sign masks by order; `entries` is (entries, realizations)."""
+    levels, zero = plan
     width = entries.shape[1]
-    stack = np.concatenate([entries, -entries, np.zeros((1, width), dtype=np.int64)])
+    stack = np.concatenate([entries, -entries])
     prev = np.ones((1, width), dtype=np.int64)
-    code = np.zeros(width, dtype=np.int64)
-    for coef, sub, principal in plan:
-        cur = stack[coef[0]]
-        cur *= prev[sub[0]]
-        for c, s in zip(coef[1:], sub[1:]):
-            term = stack[c]
-            term *= prev[s]
-            cur += term
+    code = np.full(width, zero, dtype=np.int64)
+    for c, s, ends, rows, shift in levels:
+        cur = stack[c[:ends[0]]]
+        cur *= prev[s[:ends[0]]]
+        for a, b in zip(ends, ends[1:]):
+            term = stack[c[a:b]]
+            term *= prev[s[a:b]]
+            cur[:b - a] += term
         prev = cur
-        d = cur[principal]
-        code = code << 3 | (d > 0).any(0) | (d < 0).any(0) << 1 | (d == 0).any(0) << 2
+        code |= np.bitwise_or.reduce(_SIGN_BITS[np.sign(cur[rows])], axis=0) << shift
     return code
 
 
@@ -571,13 +631,18 @@ def _first_witnesses(P: SignPattern, slot: np.ndarray, values: np.ndarray, budge
     positions = P.nonzero_positions()
     signs = np.array([int(P.rows[i][j]) for i, j in positions], dtype=np.int64)[:, None]
     # int64 rows live at once: the entry stack, the previous level, and the
-    # current level with one term and its gathered sub-minors
-    sizes = [len(sub[0]) for _, sub, _ in plan]
-    live = 2 * len(positions) + 1 + max(p + 3 * c for p, c in zip([1] + sizes, sizes))
+    # current level with one slot's terms and their gathered sub-minors
+    sizes = [ends[0] for _, _, ends, _, _ in plan[0]]
+    live = 2 * len(positions) + max([p + 3 * c for p, c in zip([1] + sizes, sizes)], default=1)
     width = max(1, _SWEEP_BYTES // (8 * live))
     found: dict[int, np.ndarray] = {}
-    nd = int(slot.max(initial=-1)) + 1
-    for digits in _digit_batches(len(values), nd, budget, seed, canonical):
+    g, nd = len(values), int(slot.max(initial=-1)) + 1
+    drawn = min(g**nd, budget)  # rows in the stream; at most _CHUNK come as one batch
+    if drawn <= _CHUNK and 8 * nd * drawn <= _STREAM_BYTES:
+        batches = (_digit_stream(g, nd, budget, seed, canonical),)
+    else:
+        batches = _digit_batches(g, nd, budget, seed, canonical)
+    for digits in batches:
         for lo in range(0, len(digits), width):
             part = digits[lo:lo + width]
             codes = _slice_codes(plan, signs * values[part[:, slot].T])

@@ -29,6 +29,7 @@ from seprkit.realize import (
     MagnitudeGrid,
     dominated_realization,
     grid_realizations,
+    sweep_sepr_table,
     zero_minor_realization,
 )
 from seprkit.signs import AmbSign, Sign
@@ -83,6 +84,17 @@ def test_with_entry_stores_a_sign():
         assert Q == parse_pattern("+0\n++") and Q.entry(0, 1) is Sign.ZERO
         assert signed_det(Q).value is AmbSign.PLUS
     assert P.with_entry(1, 1, -3).entry(1, 1) is Sign.MINUS
+
+
+def test_raw_entries_are_read_as_signs():
+    # raw ints compared equal to their Signs, yet the term walk, which tests
+    # identity, read the 0 as a nonzero entry and the sweep had no row for it
+    P, twin = SignPattern(((1, 0), (1, 1))), parse_pattern("+0\n++")
+    assert P == twin and hash(P) == hash(twin) and P.entry(0, 1) is Sign.ZERO
+    assert signed_det(P).value is AmbSign.PLUS
+    assert P.nonzero_positions() == twin.nonzero_positions()
+    assert sweep_sepr_table(P, budget=30) == sweep_sepr_table(twin, budget=30)
+    assert SignPattern(((3, -2), (0, Sign.PLUS))) == parse_pattern("+-\n0+")
 
 
 def test_submatrix_needs_equal_index_sets():

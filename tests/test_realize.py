@@ -670,7 +670,7 @@ def test_first_terms_equal_recursive_reference():
 def test_realize_has_no_assert_control_flow():
     # python -O strips assert; failures anywhere in the library raise typed
     # errors (realize.RealizationError, analysis.TheoremContradiction)
-    modules = sorted(Path(realize.__file__).parent.glob("*.py"))
+    modules = sorted(Path(realize.__file__).parent.rglob("*.py"))
     assert len(modules) >= 8
     for path in modules:
         for node in ast.walk(ast.parse(path.read_text())):
@@ -892,3 +892,47 @@ def test_sweep_equals_first_witness_stream():
                 assert got == want, (n, grid, P.to_text())
                 assert [(str(s), B.to_text()) for s, B in got.items()] == \
                     [(str(s), B.to_text()) for s, B in want.items()]
+    # dead structure, which the batched sweep prunes: no level with a live
+    # minor, principal minors with no term, and terms through a zero row and
+    # column; each with a few nonzero entries (exhaustive) and with all of
+    # them (sampled unless there are none)
+    grid = MagnitudeGrid.default()
+    for n in range(2, 7):
+        upper = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        cross = [(i, j) for i in range(1, n) for j in range(n - 1)]  # row 0, column n - 1 zero
+        for cells in ([], upper, cross):
+            for nonzeros, budget in ((min(3, len(cells)), None), (len(cells), 60)):
+                rows = [[Sign.ZERO] * n for _ in range(n)]
+                for i, j in rng.sample(cells, nonzeros):
+                    rows[i][j] = rng.choice([Sign.PLUS, Sign.MINUS])
+                P = SignPattern(tuple(tuple(r) for r in rows))
+                budget = budget or 7**nonzeros
+                seed = rng.randrange(100)
+                got = sweep_sepr_table(P, grid, budget, seed)
+                want = _stream_table(P, grid, budget, seed)
+                assert [(str(s), B.to_text()) for s, B in got.items()] == \
+                    [(str(s), B.to_text()) for s, B in want.items()], (n, P.to_text(), budget)
+
+
+def test_digit_stream_memo_bounds():
+    # a short digit stream is drawn once for every pattern that shares its
+    # (grid, nonzero count, budget, seed); it is read-only, and a long or
+    # wide stream is not kept
+    realize._digit_stream.cache_clear()
+    P = SignPattern.parse("+-0\n0++\n-0+")
+    Q = SignPattern.parse("0++\n-+0\n+0-")
+    assert sweep_sepr_table(P, budget=500, seed=3) == _stream_table(P, MagnitudeGrid.default(), 500, 3)
+    sweep_sepr_table(Q, budget=500, seed=3)
+    info = realize._digit_stream.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+    digits = realize._digit_stream(7, 6, 500, 3, 3)
+    assert digits.shape == (500, 6) and not digits.flags.writeable
+    with pytest.raises(ValueError):
+        digits[0, 0] = 0
+    # 7**5 rows exhaustively, more than one batch; 2**14 rows of 16 digits, 2 MiB
+    sweep_sepr_table(SignPattern.parse("+000\n-+00\n0-+0\n0000"), budget=10**6)
+    sweep_sepr_table(SignPattern.parse("++++\n+--+\n-+-+\n++-+"), budget=2**14)
+    assert realize._digit_stream.cache_info().currsize == 1
+    assert realize._digit_stream.cache_info().maxsize * realize._STREAM_BYTES <= 2 << 20
+    code = 0o1247
+    assert realize._sequence_from_code(code, 4) is realize._sequence_from_code(code, 4)
