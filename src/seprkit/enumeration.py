@@ -15,9 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, islice, permutations, product
 from math import comb, prod
-from typing import Iterable, Iterator, Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Iterator, Optional
 
 from .analysis import (
     TheoremContradiction,
@@ -49,6 +47,9 @@ from .realize import (
     sweep_sepr_table,
 )
 from .signs import SeprSequence, SeprSymbol, Sign
+
+if TYPE_CHECKING:  # numpy loads when the orbit filter first runs
+    import numpy as np
 
 VALID_CONSTRAINTS = frozenset(
     ["symmetric", "nonnegative", "zero-diagonal", "full-off-diagonal",
@@ -226,6 +227,7 @@ def _orbit_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
     and the first g is negation: in this order the filter drops codes
     soonest.
     """
+    import numpy as np
     cells, h = n * n, n * n // 2
     values = []  # [g][position][digit] -> that digit's share of the image
     for d, t, e in product(product((1, -1), repeat=n - 1), (False, True), (-1, 1)):
@@ -262,6 +264,7 @@ def orbit_representatives(n: int) -> Iterator[tuple[SignPattern, int]]:
     """
     if not 1 <= n <= 4:
         raise EnumerationBudgetExceeded(f"orbit filter covers orders 1..4, not {n}")
+    import numpy as np
     low, high = _orbit_tables(n)
     group, split, space = len(low), 3 ** (n * n // 2), 3 ** (n * n)
     step = min(space, 3**12)

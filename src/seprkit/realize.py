@@ -27,22 +27,26 @@ M = 36, admits n <= 8).  Per pattern, the recursion keeps only its live
 terms: a term through a zero entry or a term-free sub-minor is 0 in every
 realization, and a principal minor with no term reads as a constant zero.
 Other grids are swept one exact rational realization at a time.  Batches
-are cut into slices whose live arrays stay within _SWEEP_BYTES (1 MiB),
-unless one realization alone needs more.  A digit stream of one batch and
-at most _STREAM_BYTES is drawn once and kept, read-only, for every pattern
-that shares its grid size, nonzero count, budget and seed.
+are cut into slices whose work arrays stay within _SWEEP_BYTES (1 MiB),
+unless one realization alone needs more.  Every slice runs in one flat
+int64 workspace per thread, reused across slices and sweeps and kept up to
+2 * _SWEEP_BYTES; a larger one-realization slice (dense order 14, about
+4 MiB) gets a buffer that is not kept.  A digit stream of one batch and at
+most _STREAM_BYTES is drawn once and kept, read-only, for every pattern
+that shares its grid size, nonzero count, budget and seed.  numpy is
+imported by the functions that use it, so the exact integer work never
+loads it.
 """
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations, cycle, islice, zip_longest
 from math import factorial, isqrt, lcm
-from typing import Iterator, Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
 from .pattern import (
     DET_ORDER_GUARD,
@@ -57,6 +61,12 @@ from .pattern import (
 )
 from .signs import SeprSequence, SeprSymbol, Sign, neg_superscripts
 
+if TYPE_CHECKING:  # numpy loads when a sweep first runs
+    import numpy as np
+
+    # (levels, zero) of `_sweep_plan`, each level (c, s, ends, principal rows, sign masks)
+    _Plan = tuple[list[tuple[np.ndarray, np.ndarray, list[int], np.ndarray, int]], int]
+
 SEPR_ORDER_GUARD = 14
 ALLNONZERO_ORDER_GUARD = 10
 INVERSE_ORDER_GUARD = 6
@@ -64,7 +74,7 @@ _CHUNK = 1 << 14
 _INT64_MAX = 2**63 - 1
 _SWEEP_BYTES = 1 << 20
 _STREAM_BYTES = 1 << 18  # per memoized digit stream; `_digit_stream` keeps 8, 2 MiB at most
-_SIGN_BITS = np.array([4, 1, 2])  # the sign mask of np.sign's 0, 1 and -1 (the last)
+_SIGN_BITS = (2, 4, 1)  # the sign mask (1 +, 2 -, 4 zero) at np.sign(x) + 1
 _SWAP = (0, 2, 1, 3, 4, 6, 5, 7)  # a sign mask (1 +, 2 -, 4 zero) with + and - exchanged
 
 
@@ -450,6 +460,7 @@ def _digit_batches(g: int, nnz: int, budget: int, seed: int,
     The canonical row leads the first batch (alone when budget == 1), so a
     sampled sweep pays for no extra one-row batch.
     """
+    import numpy as np
     space = g**nnz
     if space <= budget:
         for start in range(0, space, _CHUNK):
@@ -526,6 +537,7 @@ def _minor_levels(n: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ..
     level: entry[t, m] = r*n + C[t], plus n*n for a negated (odd t) term;
     sub[t, m], the sub-minor's row; and the principal rows, those with R == C.
     """
+    import numpy as np
     prev = {(0, 0): 0}
     levels = []
     for j in range(1, n + 1):
@@ -544,10 +556,6 @@ def _minor_levels(n: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ..
     return tuple(levels)
 
 
-# (levels, zero) of `_sweep_plan`, each level (c, s, ends, principal rows, shift)
-_Plan = tuple[list[tuple[np.ndarray, np.ndarray, list[int], np.ndarray, int]], int]
-
-
 def _sweep_plan(P: SignPattern) -> _Plan:
     """What of `_minor_levels` can be nonzero: (levels, zero).
 
@@ -557,18 +565,20 @@ def _sweep_plan(P: SignPattern) -> _Plan:
     live terms are listed slot by slot: slot t holds the t-th live term of
     every minor that has one, a prefix of the rows.  Each level is (stack rows
     of the terms' entries, their sub-minor rows, where each slot ends, rows of
-    the live principal minors, the place of its order's sign mask in the
-    code); the stack holds P's nonzero entries in `nonzero_positions` order,
+    the live principal minors, the code bits of its order's sign masks at
+    np.sign(minor) + 1); the stack holds P's nonzero entries in `nonzero_positions` order,
     then their negations.  The levels end at the last one with a live minor.
     `zero` holds the zero bits of the orders where some principal minor has
-    no term.
+    no term.  The sweep gathers these rows unchecked, so every one is checked
+    here against the rows it indexes, once per plan.
     """
+    import numpy as np
     n = P.n
     row = [-1] * (2 * n * n)  # -1: a zero entry
     positions = P.nonzero_positions()
     for e, (i, j) in enumerate(positions):
         row[i * n + j], row[i * n + j + n * n] = e, e + len(positions)
-    rank = [0]  # row of each minor one level down, -1: no term
+    rank, below = [0], 1  # row of each minor one level down (-1: no term), and their count
     levels, zero = [], 0
     for j, (entry, sub, principal) in enumerate(_minor_levels(n), start=1):
         count = entry.shape[1]
@@ -598,27 +608,92 @@ def _sweep_plan(P: SignPattern) -> _Plan:
             c += cs[:k]
             s += ss[:k]
             ends.append(len(c))
+        for got, bound in ((c, 2 * len(positions)), (s, below), (rows, len(order))):
+            if got and max(got) >= bound:
+                raise IndexError(f"sweep plan row outside 0..{bound - 1} on level {j}")
+        below = len(order)
         levels.append((np.array(c, dtype=np.int64), np.array(s, dtype=np.int64), ends,
-                       np.array(rows, dtype=np.int64), 3 * (n - j)))
+                       np.array(rows, dtype=np.int64),
+                       np.array([b << 3 * (n - j) for b in _SIGN_BITS], dtype=np.int64)))
     return levels, zero
 
 
-def _slice_codes(plan: _Plan, entries: np.ndarray) -> np.ndarray:
-    """Sepr codes of a slice, 3-bit sign masks by order; `entries` is (entries, realizations)."""
+_workspace = threading.local()  # `buf`: the flat int64 buffer this thread's sweeps reuse
+
+
+def _work_buffer(size: int) -> np.ndarray:
+    """A flat int64 buffer of at least `size` entries: this thread's, kept and grown
+    across slices and sweeps up to 2 * _SWEEP_BYTES, or past that a temporary one."""
+    import numpy as np
+    if 8 * size > 2 * _SWEEP_BYTES:
+        return np.empty(size, dtype=np.int64)
+    buf = getattr(_workspace, "buf", None)
+    if buf is None or buf.size < size:
+        buf = _workspace.buf = np.empty(size, dtype=np.int64)
+    return buf
+
+
+def _work_rows(plan: _Plan, nnz: int) -> tuple[int, int, int]:
+    """(rows of the largest level, principal rows of all levels, rows of the whole
+    workspace) of `_slice_codes`, each row one int64 per realization."""
+    most = max([ends[0] for _, _, ends, _, _ in plan[0]], default=1)
+    masks = sum(len(rows) for _, _, _, rows, _ in plan[0])
+    return most, masks, 2 * nnz + max(nnz, 4 * most + masks)
+
+
+def _slice_codes(plan: _Plan, digits: np.ndarray, slot: np.ndarray, signs: np.ndarray,
+                 values: np.ndarray) -> np.ndarray:
+    """Sepr codes, 3-bit sign masks by order, of the realizations digits[r] (see
+    `_first_witnesses`).
+
+    Everything but the codes lives in one `_work_buffer`: the entry stack, two
+    level buffers taking turns as the previous and the current level, one slot's
+    terms and gathered sub-minors (where a level's principal rows then take
+    their signs), and every level's sign masks, ORed together at the end.  Every
+    gather is unchecked (mode "clip"); `_sweep_plan` checks its rows.
+    """
+    import numpy as np
     levels, zero = plan
-    width = entries.shape[1]
-    stack = np.concatenate([entries, -entries])
-    prev = np.ones((1, width), dtype=np.int64)
-    code = np.full(width, zero, dtype=np.int64)
-    for c, s, ends, rows, shift in levels:
-        cur = stack[c[:ends[0]]]
-        cur *= prev[s[:ends[0]]]
+    width, nnz = len(digits), len(slot)
+    most, total, size = _work_rows(plan, nnz)
+    work = _work_buffer(size * width)
+    stack = work[:2 * nnz * width].reshape(2 * nnz, width)
+    rest = work[2 * nnz * width:]
+    # the stack: values[digit] times the entry's sign, then the negations
+    picked = rest[:width * nnz].reshape(width, nnz)
+    digits.take(slot, 1, picked, "clip")
+    entries = stack[nnz:].reshape(width, nnz)
+    values.take(picked, None, entries, "clip")
+    np.multiply(entries, signs, entries)
+    np.copyto(stack[:nnz], entries.T)
+    np.negative(stack[:nnz], stack[nnz:])
+    bufs = [rest[k * most * width:(k + 1) * most * width].reshape(most, width)
+            for k in range(4)]
+    term, subs = bufs[2], bufs[3]
+    masks = rest[4 * most * width:(4 * most + total) * width].reshape(total, width)
+    prev = bufs[0][:1]
+    prev.fill(1)
+    done = 0
+    for k, (c, s, ends, rows, bits) in enumerate(levels):
+        cur = bufs[1 - k % 2][:ends[0]]
+        stack.take(c[:ends[0]], 0, cur, "clip")
+        prev.take(s[:ends[0]], 0, term[:ends[0]], "clip")
+        np.multiply(cur, term[:ends[0]], cur)
         for a, b in zip(ends, ends[1:]):
-            term = stack[c[a:b]]
-            term *= prev[s[a:b]]
-            cur[:b - a] += term
-        prev = cur
-        code |= np.bitwise_or.reduce(_SIGN_BITS[np.sign(cur[rows])], axis=0) << shift
+            t, u = term[:b - a], subs[:b - a]
+            stack.take(c[a:b], 0, t, "clip")
+            prev.take(s[a:b], 0, u, "clip")
+            np.multiply(t, u, t)
+            np.add(cur[:b - a], t, cur[:b - a])
+        prev, sign = cur, term[:len(rows)]
+        cur.take(rows, 0, sign, "clip")
+        np.sign(sign, sign)
+        np.add(sign, 1, sign)
+        bits.take(sign, None, masks[done:done + len(rows)], "clip")
+        done += len(rows)
+    code = np.bitwise_or.reduce(masks, axis=0)
+    if zero:
+        np.bitwise_or(code, zero, code)
     return code
 
 
@@ -626,15 +701,14 @@ def _first_witnesses(P: SignPattern, slot: np.ndarray, values: np.ndarray, budge
                      seed: int, canonical: int) -> dict[int, np.ndarray]:
     """First digit row of each sepr code over the digit stream of `_digit_batches`, in
     stream order.  A realization is a digit row: P's t-th nonzero entry is its sign
-    times values[digit slot[t]], so entries that share a slot stay equal."""
+    times values[digit slot[t]], so entries that share a slot stay equal.  Slices of
+    the stream keep the workspace of `_slice_codes` within _SWEEP_BYTES, unless one
+    realization alone needs more."""
+    import numpy as np
     plan = _sweep_plan(P)
     positions = P.nonzero_positions()
-    signs = np.array([int(P.rows[i][j]) for i, j in positions], dtype=np.int64)[:, None]
-    # int64 rows live at once: the entry stack, the previous level, and the
-    # current level with one slot's terms and their gathered sub-minors
-    sizes = [ends[0] for _, _, ends, _, _ in plan[0]]
-    live = 2 * len(positions) + max([p + 3 * c for p, c in zip([1] + sizes, sizes)], default=1)
-    width = max(1, _SWEEP_BYTES // (8 * live))
+    signs = np.array([int(P.rows[i][j]) for i, j in positions], dtype=np.int64)
+    width = max(1, _SWEEP_BYTES // (8 * _work_rows(plan, len(positions))[2]))
     found: dict[int, np.ndarray] = {}
     g, nd = len(values), int(slot.max(initial=-1)) + 1
     drawn = min(g**nd, budget)  # rows in the stream; at most _CHUNK come as one batch
@@ -645,7 +719,7 @@ def _first_witnesses(P: SignPattern, slot: np.ndarray, values: np.ndarray, budge
     for digits in batches:
         for lo in range(0, len(digits), width):
             part = digits[lo:lo + width]
-            codes = _slice_codes(plan, signs * values[part[:, slot].T])
+            codes = _slice_codes(plan, part, slot, signs, values)
             for fi in np.sort(np.unique(codes, return_index=True)[1]).tolist():
                 if int(codes[fi]) not in found:
                     found[int(codes[fi])] = part[fi].copy()
@@ -668,6 +742,7 @@ def sweep_sepr_table(P: SignPattern, grid: Optional[MagnitudeGrid] = None,
     # a j x j minor, and each partial sum or product E * M of its expansion,
     # is a sum of at most j! permutation terms of size at most M**j
     if factorial(P.n) * max(grid.int_scaled()) ** P.n <= _INT64_MAX:
+        import numpy as np
         positions = P.nonzero_positions()
         found = _first_witnesses(P, np.arange(len(positions)),
                                  np.array(grid.int_scaled(), dtype=np.int64), budget, seed,
@@ -688,6 +763,7 @@ def _sym_sweep(n: int, values: Sequence[int]) -> dict[SeprSequence, RationalMatr
     i < j runs through the batched sweep of the all-+ n x n pattern; entry
     (i, j) and entry (j, i) read the digit of {i, j}.
     """
+    import numpy as np
     cells = [(i, i) for i in range(n)] + list(combinations(range(n), 2))
     slot = [cells.index((min(i, j), max(i, j))) for i in range(n) for j in range(n)]
     found = _first_witnesses(SignPattern.from_rows([[1] * n] * n), np.array(slot),

@@ -1,10 +1,14 @@
 """Exact realizations: sepr of matrices, grids, targeted constructions."""
 import ast
 import hashlib
+import os
 import random
+import subprocess
 import sys
+import threading
 import time
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from itertools import combinations
 from math import comb, factorial
@@ -936,3 +940,86 @@ def test_digit_stream_memo_bounds():
     assert realize._digit_stream.cache_info().maxsize * realize._STREAM_BYTES <= 2 << 20
     code = 0o1247
     assert realize._sequence_from_code(code, 4) is realize._sequence_from_code(code, 4)
+
+
+def _table_text(table):
+    return [(str(s), B.to_text()) for s, B in table.items()]
+
+
+def test_sweep_workspace_per_thread():
+    # each thread sweeps in its own kept buffer: two threads sweeping different
+    # patterns at once return the tables of a sequential run
+    rng = random.Random(24)
+    patterns = [_random_pattern(rng, n, k) for n, k in ((4, 12), (5, 18), (3, 9), (6, 20))]
+    want = [_table_text(sweep_sepr_table(P, budget=20000, seed=5)) for P in patterns]
+
+    both = threading.Barrier(2, timeout=60)  # each sweep starts beside one in the other thread
+
+    def sweep(P):
+        both.wait()
+        table = sweep_sepr_table(P, budget=20000, seed=5)
+        return _table_text(table), threading.get_ident()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, inside each sweep
+    try:
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            runs = list(pool.map(sweep, patterns * 3, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert [t for t, _ in runs] == want * 3
+    assert len({thread for _, thread in runs}) == 2
+
+
+def test_sweep_workspace_bound():
+    # a dense order-12 slice holds one realization, and the buffer kept for it
+    # stays within 2 * _SWEEP_BYTES; each sweep runs in a fresh thread, whose
+    # buffer is its own
+    def sweep(P, grid, budget):
+        table = sweep_sepr_table(P, grid, budget, 0)
+        return table, getattr(realize._workspace, "buf", None)
+
+    rng = random.Random(12)
+    P = SignPattern(tuple(tuple(rng.choice([Sign.PLUS, Sign.MINUS]) for _ in range(12))
+                          for _ in range(12)))
+    grid = MagnitudeGrid.of(1, 2, 3)
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        table, buf = pool.submit(sweep, P, grid, 3).result()
+    assert realize._SWEEP_BYTES // 2 < buf.nbytes <= 2 * realize._SWEEP_BYTES
+    assert _table_text(table) == _table_text(_stream_table(P, grid, 3, 0))
+    # a slice past the bound runs in a temporary buffer, which is not kept
+    Q = _random_pattern(rng, 4, 11)
+    want = _table_text(sweep_sepr_table(Q, budget=300, seed=0))
+    saved, realize._SWEEP_BYTES = realize._SWEEP_BYTES, 64
+    try:
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            table, buf = pool.submit(sweep, Q, None, 300).result()
+    finally:
+        realize._SWEEP_BYTES = saved
+    assert buf is None and _table_text(table) == want
+
+
+def test_numpy_loads_only_for_sweeps():
+    # the exact integer work never loads numpy; a sweep does
+    code = """if True:
+        import sys
+        import seprkit, seprkit.cli
+        from seprkit import (RationalMatrix, allnonzero_realization, parse_pattern,
+                             sepr_of_matrix, signed_det, sweep_sepr_table, unique_verdict)
+        P = parse_pattern("+-0\\n++-\\n0++")
+        signed_det(P)
+        sepr_of_matrix(RationalMatrix.from_rows([[1, -2, 0], [3, 1, -1], [0, 5, 2]]))
+        allnonzero_realization(P)
+        verdict = unique_verdict(parse_pattern("-00\\n+-0\\n0+-"))
+        assert verdict.unique, verdict
+        print("numpy" in sys.modules)
+        sweep_sepr_table(P, budget=10)
+        print("numpy" in sys.modules)
+    """
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["False", "True"]
