@@ -136,6 +136,22 @@ def _cycle_product(P: SignPattern, cycle: tuple[int, ...]) -> Sign:
 
 
 def all_cycle_products_negative(P: SignPattern) -> bool:
+    """Whether every simple cycle of the signed digraph has product -.
+
+    This is the term-sign law: every term of every order-k principal minor
+    has sign (-1)^k, since a composite cycle's term is (-1)^(k - c) times
+    the products of its c cycles, and a simple cycle alone is a term.  A +
+    loop, or a 2-cycle whose two arcs share a sign, is a + cycle; that
+    screen runs first, so such a pattern never enumerates `simple_cycles`.
+    """
+    rows = P.rows
+    for i, row in enumerate(rows):
+        if row[i] is Sign.PLUS:
+            return False
+        for j in range(i + 1, len(row)):
+            s = row[j]
+            if s is not Sign.ZERO and s is rows[j][i]:
+                return False
     return all(_cycle_product(P, c) is Sign.MINUS for c in simple_cycles(P))
 
 

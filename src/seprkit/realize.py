@@ -219,7 +219,17 @@ _SMALL_FRACTIONS = {k: Fraction(k) for k in range(-256, 257)}  # shared: Fractio
 
 
 def _rational(rows: Sequence[Sequence[int]], dens: Sequence[int]) -> RationalMatrix:
-    """The matrix of rows[i] / dens[i]; small whole entries reuse one Fraction each."""
+    """The matrix of rows[i] / dens[i]; small whole entries reuse one Fraction each.
+
+    Whole rows of small entries, the usual witness, are looked up at C speed
+    (map over the table); any other row is built entry by entry.
+    """
+    if dens.count(1) == len(dens):
+        try:
+            return RationalMatrix(tuple(tuple(map(_SMALL_FRACTIONS.__getitem__, row))
+                                        for row in rows))
+        except KeyError:
+            pass
     return RationalMatrix(tuple(tuple(_SMALL_FRACTIONS[x] if q == 1 and x in _SMALL_FRACTIONS
                                       else Fraction(x, q) for x in row)
                                 for row, q in zip(rows, dens)))
@@ -273,7 +283,14 @@ def _det(rows: Sequence[Sequence[int]], ridx: Sequence[int], cidx: Sequence[int]
 # sepr of a matrix
 
 def sepr_sequence_of_minor_signs(sign_masks: Sequence[int]) -> SeprSequence:
-    return SeprSequence(tuple(SeprSymbol.from_sign_mask(m) for m in sign_masks))
+    """The sequence whose k-th symbol has sign mask sign_masks[k - 1] (1 +, 2 -, 4 zero)."""
+    return _decode_masks(tuple(sign_masks))
+
+
+@lru_cache(maxsize=1024)
+def _decode_masks(sign_masks: tuple[int, ...]) -> SeprSequence:
+    """sepr_sequence_of_minor_signs, one shared sequence per tuple of masks."""
+    return SeprSequence(tuple(map(SeprSymbol.from_sign_mask, sign_masks)))
 
 
 def sepr_of_matrix(B: RationalMatrix) -> SeprSequence:
@@ -443,9 +460,14 @@ class MagnitudeGrid:
     def int_scaled(self) -> tuple[int, ...]:
         return self._scaled[0]
 
-    def canonical_digit(self) -> int:
+    @cached_property
+    def _canonical(self) -> int:
+        """canonical_digit(): the index of magnitude 1, else 0."""
         one = Fraction(1)
         return self.values.index(one) if one in self.values else 0
+
+    def canonical_digit(self) -> int:
+        return self._canonical
 
 
 _DEFAULT_GRID = MagnitudeGrid.of("1/6", "1/3", "1/2", 1, 2, 3, 6)
@@ -520,7 +542,6 @@ def grid_realizations(P: SignPattern, grid: Optional[MagnitudeGrid] = None,
 # ---------------------------------------------------------------------------
 # batched exact sweep
 
-@lru_cache(maxsize=1024)
 def _sequence_from_code(code: int, n: int) -> SeprSequence:
     """Decode n 3-bit sign masks (1 +, 2 -, 4 zero), the first position most significant."""
     return sepr_sequence_of_minor_signs([code >> 3 * k & 7 for k in reversed(range(n))])

@@ -1,5 +1,6 @@
 """Digraph structure: components, simplification, cycles, stability, families."""
 import random
+from itertools import product
 
 import pytest
 
@@ -36,6 +37,7 @@ from seprkit.pattern import (
     mask_indices,
     max_bipartite_matching,
     parse_pattern,
+    principal_term_signs,
     signed_det_masked,
     subsets_of_size,
 )
@@ -363,6 +365,42 @@ def test_all_cycle_products_negative():
     sns = parse_pattern("-+0\n0-+\n-0-")  # loops -, 3-cycle + + - is -
     assert all_cycle_products_negative(sns)
     assert all_cycle_products_negative(SignPattern.zero(3))  # no cycle at all
+
+
+
+def test_cycle_screen_matches_unscreened_and_term_sign_law():
+    # two oracles for the loop and 2-cycle screen: every simple cycle's
+    # product, unscreened, and the term-sign law (each order-k principal
+    # minor has only terms of sign (-1)^k); every pattern of orders 1-3, and
+    # 3000 seeded ones at each of orders 4-6, every other one built to pass
+    # the screen (diagonal -/0, no off-diagonal pair of one sign)
+    def patterns():
+        for n in range(1, 4):
+            for cells in product((Sign.MINUS, Sign.ZERO, Sign.PLUS), repeat=n * n):
+                yield SignPattern(tuple(tuple(cells[i * n:i * n + n]) for i in range(n)))
+        rng = random.Random(2502)
+        signs = (Sign.MINUS, Sign.ZERO, Sign.PLUS)
+        for n in range(4, 7):
+            for t in range(3000):
+                rows = [[rng.choice(signs) for _ in range(n)] for _ in range(n)]
+                if t % 2:
+                    for i in range(n):
+                        rows[i][i] = rng.choice((Sign.MINUS, Sign.ZERO))
+                        for j in range(i + 1, n):
+                            if rows[i][j] is rows[j][i] is not Sign.ZERO:
+                                rows[j][i] = -rows[i][j]
+                yield SignPattern(tuple(map(tuple, rows)))
+
+    count = passed = 0
+    for P in patterns():
+        got = all_cycle_products_negative(P)
+        unscreened = all(digraph._cycle_product(P, c) is Sign.MINUS for c in simple_cycles(P))
+        signs = principal_term_signs(P)
+        law = all(signs[m] in (0, 2 if m.bit_count() & 1 else 1) for m in range(1, 1 << P.n))
+        assert got == unscreened == law, P.to_text()
+        count += 1
+        passed += got
+    assert count == 3 + 3**4 + 3**9 + 9000 and passed >= 1000
 
 
 def test_make_family_shapes():

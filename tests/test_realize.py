@@ -10,7 +10,7 @@ import time
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations, product
 from math import comb, factorial
 from pathlib import Path
 
@@ -366,6 +366,95 @@ def test_minor_det_inverse_match_sympy():
         RationalMatrix.identity(3).minor([0, 1], [0])
     with pytest.raises(OrderGuardError):
         RationalMatrix.identity(7).inverse()
+
+
+
+def _leibniz_det(rows, ridx, cidx):
+    """Reference: the permutation sum, each term signed by its inversion count."""
+    k, total = len(ridx), 0
+    for perm in permutations(range(k)):
+        term = -1 if sum(perm[a] > perm[b] for a, b in combinations(range(k), 2)) & 1 else 1
+        for r, p in zip(ridx, perm):
+            term *= rows[r][cidx[p]]
+        total += term
+    return total
+
+
+def test_det_matches_permutation_sum():
+    # the closed forms (orders 0-3) and Bareiss (4-6) against the Leibniz sum,
+    # on ascending index sets with gaps into a larger integer matrix: small
+    # entries with many zeros (zero pivots), entries past 2**64, a repeated
+    # row and a zero leading entry
+    rng = random.Random(2501)
+    big = 2**64
+    for k in range(7):
+        for case in range(48):
+            size = k + 3
+            kind = case % 4
+            if kind == 1:
+                rows = [[rng.choice((-1, 1)) * (big + rng.randrange(big)) if rng.random() < 0.8
+                         else 0 for _ in range(size)] for _ in range(size)]
+            else:
+                rows = [[rng.choice((-2, -1, 0, 0, 0, 1, 2)) for _ in range(size)]
+                        for _ in range(size)]
+            ridx = sorted(rng.sample(range(size), k))
+            cidx = sorted(rng.sample(range(size), k))
+            if kind == 2 and k > 1:
+                rows[ridx[-1]] = rows[ridx[0]][:]
+            if kind == 3 and k > 0:
+                rows[ridx[0]][cidx[0]] = 0
+            want = _leibniz_det(rows, ridx, cidx)
+            assert realize._det(rows, ridx, cidx) == want, (k, case, rows, ridx, cidx)
+            assert want == 0 or kind != 2 or k < 2
+    assert realize._det([], [], []) == 1
+
+
+def test_rational_equals_fraction_entries():
+    # rows / dens entry by entry, whole small entries as the shared Fractions,
+    # past the shared table's range, with a non-unit denominator, with big ints
+    big = 3**50
+    cases = [
+        ([[256, -256, 0], [1, -1, 255], [7, -7, 2]], [1, 1, 1]),
+        ([[256, 257, -257], [-256, 0, 1], [2, 3, -4]], [1, 1, 1]),
+        ([[big, -big, 1], [0, 1, -1], [256, 6, -6]], [1, 1, 1]),
+        ([[256, 6, -3], [1, 2, 3], [4, -257, 6]], [1, 3, 1]),
+        (((1, 2), (-3, 4)), (1, 1)),
+        ([[6, -4], [big, 1]], [5, 2]),
+        ([[6, -4], [2, 1]], [5, 1]),
+    ]
+    for rows, dens in cases:
+        M = realize._rational(rows, dens)
+        assert M.rows == tuple(tuple(Fraction(x, q) for x in row) for row, q in zip(rows, dens))
+        for row, q, got in zip(rows, dens, M.rows):
+            for x, f in zip(row, got):
+                assert type(f) is Fraction
+                if q == 1 and -256 <= x <= 256:
+                    assert f is realize._SMALL_FRACTIONS[x]
+
+
+def test_sign_mask_decode_is_cached_and_bounded():
+    decode = realize.sepr_sequence_of_minor_signs
+    masks = [1, 2, 4, 7, 3]
+    seq = decode(masks)
+    assert str(seq) == "A+A-NS*A*"
+    assert decode(tuple(masks)) is seq
+    code = 0
+    for m in masks:
+        code = code << 3 | m
+    assert realize._sequence_from_code(code, len(masks)) is seq
+    info = realize._decode_masks.cache_info()
+    assert info.maxsize is not None
+    for t in product(range(1, 8), repeat=4):
+        assert [s.sign_mask for s in decode(t)] == list(t)
+    info = realize._decode_masks.cache_info()
+    assert 7**4 > info.maxsize and info.currsize <= info.maxsize
+
+
+def test_canonical_digit():
+    assert MagnitudeGrid.default().canonical_digit() == 3
+    assert MagnitudeGrid.of(2, 3).canonical_digit() == 0
+    g = MagnitudeGrid.of("1/2", 1, "2/2")
+    assert g.canonical_digit() == g.canonical_digit() == 1
 
 
 def test_grid_realizations_exhaustive():
