@@ -4,16 +4,19 @@ A sign pattern is a square grid over {+, -, 0}.  Its determinant is the
 standard permutation expansion evaluated in sign arithmetic: the result
 is +, -, 0, or ambiguous (both a positive and a negative term occur).
 One memoized Laplace recursion, _term_signs, gives the term signs of any
-minor; it also fills the table of all principal subpatterns from one memo
-and guides the walk to the first term of each sign.  Index sets are
-bitmasks; the bigraph view ties nonzero determinant terms to perfect
-matchings.
+minor and guides the walk to the first term of each sign.  The table of
+all principal subpatterns comes, to order _LAPLACE_PLAN_ORDER, from one
+flat pass over a static per-order Laplace plan, which also fills the
+recursion's memo; above that order, from the recursion on one memo.  The
+plan's level walk is the one the batched sweep's int64 tables are built
+from.  Index sets are bitmasks; the bigraph view ties nonzero determinant
+terms to perfect matchings.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .signs import AmbSign, Sign
@@ -21,6 +24,15 @@ from .signs import AmbSign, Sign
 DET_ORDER_GUARD = 16
 _DET_VALUE = (AmbSign.ZERO, AmbSign.PLUS, AmbSign.MINUS, AmbSign.AMBIGUOUS)  # by term signs
 _TERM_BITS = (0, 1, 2)  # term signs of a 1 x 1 minor, by entry: 0, + or - (index -1)
+# Highest order whose principal table comes from the Laplace plan.  Above it
+# the recursion's early stop wins on dense patterns, and the plan grows about
+# 2.6x per order.
+_LAPLACE_PLAN_ORDER = 6
+# a Laplace term's signs, indexed by its sub-minor's term signs, by its entry
+# (index 0, + or - as -1): at an even column position (none, kept, swapped),
+# then at an odd one, where the column's sign flips them once more
+_EVEN_FLIP = ((0, 0, 0, 0), (0, 1, 2, 3), (0, 2, 1, 3))
+_ODD_FLIP = ((0, 0, 0, 0), (0, 2, 1, 3), (0, 1, 2, 3))
 
 
 class PatternParseError(ValueError):
@@ -345,22 +357,100 @@ def signed_det(P: SignPattern) -> DetSummary:
     return signed_det_masked(P, full_mask(P.n))
 
 
+def _laplace_levels(n: int) -> Iterator[tuple[dict[int, int], list[list[int]], list[list[int]]]]:
+    """Laplace expansions that yield every principal minor of order n, level
+    by level, j = 1..n; one level is held at a time.
+
+    Level j holds the minors E[R, C] with |R| = |C| = j and C drawn from R
+    plus the columns below r = min R, by R and then C in lexicographic
+    order.  Expanding along row r,
+    E[R, C] = sum over t of (-1)^t E[r, C[t]] E[R - r, C - C[t]], and each
+    sub-minor lies on level j - 1 (level 0 is the empty minor, 1).  A level
+    is (keys, entry, sub): keys maps C << n | R, the `_term_signs` memo key
+    of a minor, to its row m, in row order; entry[m][t] = r*n + C[t], plus
+    n*n for an odd t; sub[m][t], the sub-minor's row on level j - 1.
+    """
+    prev = {0: 0}
+    for j in range(1, n + 1):
+        index: dict[int, int] = {}
+        entry, sub = [], []
+        for R in combinations(range(n), j):
+            r, rmask = R[0], mask_from(R)
+            for C in combinations(sorted(set(R) | set(range(r))), j):
+                cmask = mask_from(C)
+                index[cmask << n | rmask] = len(index)
+                entry.append([r * n + c + n * n * (t & 1) for t, c in enumerate(C)])
+                sub.append([prev[(cmask ^ 1 << c) << n | rmask ^ 1 << r] for c in C])
+        yield index, entry, sub
+        prev = index
+
+
+@lru_cache(maxsize=None)
+def _laplace_plan(n: int) -> tuple[tuple[tuple, tuple[int, ...], tuple[tuple[int, int], ...]], ...]:
+    """`_laplace_levels(n)` as `_principal_table` reads it, for n up to
+    _LAPLACE_PLAN_ORDER (kept for the life of the process).
+
+    Per level, (terms, keys, principal): terms[m], the (entry, sub) pairs of
+    minor m; keys, the memo keys of the level's minors, empty on the one-row
+    level, which `_term_signs` reads without its memo; principal, the
+    (row, mask) of each minor with C == R.
+    """
+    if not 1 <= n <= _LAPLACE_PLAN_ORDER:
+        raise ValueError(f"the Laplace plan covers orders 1..{_LAPLACE_PLAN_ORDER}")
+    full = full_mask(n)
+    return tuple((tuple(map(tuple, map(zip, entry, sub))), tuple(keys) if j > 1 else (),
+                  tuple((m, k & full) for m, k in enumerate(keys) if k >> n == k & full))
+                 for j, (keys, entry, sub) in enumerate(_laplace_levels(n), start=1))
+
+
 def principal_term_signs(P: SignPattern) -> list[int]:
     """Term signs of every principal minor, indexed by mask: bit 1 a
     positive term, bit 2 a negative one (0: no term, 3: ambiguous).
 
-    All 2**n masks share one `_term_signs` memo.
+    To order _LAPLACE_PLAN_ORDER (6) the table comes from one pass over the
+    order's Laplace plan; above it, from `_term_signs` on one memo.
     """
     return _principal_table(P)[0]
 
 
 def _principal_table(P: SignPattern) -> tuple[list[int], dict]:
-    """`principal_term_signs` and the `_term_signs` memo that built it."""
+    """`principal_term_signs` and a `_term_signs` memo of P's rows that holds
+    the table's multi-row minors.
+
+    To order _LAPLACE_PLAN_ORDER: one pass over `_laplace_plan(n)`, level by
+    level.  A minor's term through entry e and sub-minor s has s's term
+    signs, swapped when e is negative xor its column is odd, and none when e
+    is 0; a minor stops at both signs.  Every multi-row minor of the plan,
+    principal or not, then goes into the memo, so `_first_terms`,
+    `_targeted` and the all-nonzero walk read it there.  Above that order
+    the recursion fills the memo as it goes.
+    """
     n = P.n
     if n > DET_ORDER_GUARD:
         raise OrderGuardError(f"signed determinant limited to order {DET_ORDER_GUARD}")
     memo: dict = {}
-    return [_term_signs(P.rows, memo, m, m) for m in range(1 << n)], memo
+    if n > _LAPLACE_PLAN_ORDER:
+        return [_term_signs(P.rows, memo, m, m) for m in range(1 << n)], memo
+    entries = [*chain.from_iterable(P.rows)]
+    # by entry code r*n + c, plus n*n for an odd column
+    flip = [*map(_EVEN_FLIP.__getitem__, entries), *map(_ODD_FLIP.__getitem__, entries)]
+    table = [0] * (1 << n)
+    table[0] = 1
+    signs = [1]  # level 0: the empty minor
+    for terms, keys, principal in _laplace_plan(n):
+        level = []
+        for pairs in terms:
+            out = 0
+            for q, s in pairs:
+                out |= flip[q][signs[s]]
+                if out == 3:
+                    break
+            level.append(out)
+        for m, mask in principal:
+            table[mask] = level[m]
+        memo.update(zip(keys, level))
+        signs = level
+    return table, memo
 
 
 def is_ambiguous(P: SignPattern) -> bool:

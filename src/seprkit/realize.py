@@ -12,18 +12,20 @@ bordered minors follow from its parent's by one exact step of Sylvester's
 identity (below a zero principal minor, from _det on the table of its
 nearest nonzero ancestor; a set with at most three indices after it is
 settled from its undivided numerators, with no table).  Term signs come
-from the pattern module's one recursion; the all-nonzero walk asks it only
-about zero minors that have a term.  Alongside the plain grid sweep the
-module provides targeted constructors (dominate a chosen term, hit an exact
-zero of an ambiguous minor, make all ambiguous minors nonzero).  The witness
+from the pattern module: its principal table and the memo that comes with
+it, or its one recursion; the all-nonzero walk asks only about zero minors
+that have a term.  Alongside the plain grid sweep the module provides
+targeted constructors (dominate a chosen term, hit an exact zero of an
+ambiguous minor, make all ambiguous minors nonzero).  The witness
 search tries them as integer rows to separate sepr-sequences, reading each
 sign-determined minor's sign from the principal term-sign table.
 
 The grid sweep evaluates all principal minors of a batch of realizations
-at once, in int64, by one shared Laplace recursion over minors.  It runs
+at once, in int64, by Laplace expansion over the pattern module's level
+walk of minors, the one its principal term-sign table reads.  It runs
 whenever n! * M**n <= 2**63 - 1, with M the largest grid magnitude scaled
 to an integer; no intermediate value can then overflow (the default grid,
-M = 36, admits n <= 8).  Per pattern, the recursion keeps only its live
+M = 36, admits n <= 8).  Per pattern, the expansion keeps only its live
 terms: a term through a zero entry or a term-free sub-minor is 0 in every
 realization, and a principal minor with no term reads as a constant zero.
 Other grids are swept one exact rational realization at a time.  Batches
@@ -54,6 +56,7 @@ from .pattern import (
     SignPattern,
     _check_masks,
     _first_terms,
+    _laplace_levels,
     _masks_by_size,
     _principal_table,
     _term_signs,
@@ -549,31 +552,21 @@ def _sequence_from_code(code: int, n: int) -> SeprSequence:
 
 @lru_cache(maxsize=None)
 def _minor_levels(n: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
-    """Laplace-expansion tables that yield every principal minor of order n.
+    """Laplace-expansion tables that yield every principal minor of order n:
+    `pattern._laplace_levels(n)`, the level walk the principal term-sign
+    table's plan is built from, as int32 arrays.
 
-    Level j holds the minors E[R, C] with |R| = |C| = j and C drawn from R
-    plus the columns below r = min R.  Expanding along row r,
-    E[R, C] = sum over t of (-1)^t E[r, C[t]] E[R - r, C - C[t]], and each
-    sub-minor lies on level j - 1 (level 0 is the empty minor, 1).  Per
-    level: entry[t, m] = r*n + C[t], plus n*n for a negated (odd t) term;
-    sub[t, m], the sub-minor's row; and the principal rows, those with R == C.
+    Per level: entry[t, m] = r*n + C[t], plus n*n for a negated (odd t) term,
+    for the t-th term of minor E[R, C] expanded along row r = min R;
+    sub[t, m], the sub-minor's row one level down; and the principal rows,
+    those with R == C.
     """
     import numpy as np
-    prev = {(0, 0): 0}
-    levels = []
-    for j in range(1, n + 1):
-        index: dict[tuple[int, int], int] = {}
-        entry, sub = [], []
-        for R in combinations(range(n), j):
-            r, rmask = R[0], sum(1 << i for i in R)
-            for C in combinations(sorted(set(R) | set(range(r))), j):
-                cmask = sum(1 << i for i in C)
-                index[rmask, cmask] = len(index)
-                entry.append([r * n + c + n * n * (t & 1) for t, c in enumerate(C)])
-                sub.append([prev[rmask ^ (1 << r), cmask ^ (1 << c)] for c in C])
+    full, levels = (1 << n) - 1, []
+    for keys, entry, sub in _laplace_levels(n):
         levels.append((np.array(entry, dtype=np.int32).T, np.array(sub, dtype=np.int32).T,
-                       np.flatnonzero([rm == cm for rm, cm in index])))
-        prev = index
+                       np.flatnonzero([k >> n == k & full for k in keys])))
+        del keys, entry, sub  # so the walk frees this level's lists before it builds the next
     return tuple(levels)
 
 

@@ -1,6 +1,6 @@
 """Sign patterns: parsing, subpatterns, signed determinants, bigraphs."""
 import random
-from itertools import permutations
+from itertools import permutations, product
 from time import perf_counter
 
 import pytest
@@ -23,6 +23,9 @@ from seprkit.pattern import (
     signed_det_masked,
     subpattern,
     subsets_of_size,
+    _LAPLACE_PLAN_ORDER,
+    _laplace_plan,
+    _principal_table,
     _term_signs,
 )
 from seprkit.realize import (
@@ -165,7 +168,7 @@ def _expansion_signs(P, ridx, cidx):
 
 
 def test_signed_det_matches_permutation_expansion():
-    # and the one-memo principal table agrees on every principal mask
+    # and the principal term-sign table agrees on every principal mask
     rng = random.Random(15)
     kinds = set()
     for n in range(1, 8):
@@ -193,6 +196,56 @@ def test_signed_det_matches_permutation_expansion():
     # every index-set size 0..7 occurs principal, and every size 1..6 not
     assert {k for k, principal in kinds if principal} == set(range(8))
     assert {k for k, principal in kinds if not principal} == set(range(1, 7))
+
+
+def _plan_matches_recursion(P):
+    """The principal table and every memo entry of `_principal_table`, against
+    `_term_signs` on a fresh memo; the memo holds every multi-row minor of the plan."""
+    n, full = P.n, full_mask(P.n)
+    table, memo = _principal_table(P)
+    ref: dict = {}
+    assert table == [_term_signs(P.rows, ref, m, m) for m in range(1 << n)], P.to_text()
+    for key, signs in memo.items():
+        R, C = key & full, key >> n
+        assert R.bit_count() == C.bit_count() > 1
+        assert not C & ~(R | (R & -R) - 1)  # C lies in R and the columns below min R
+        assert signs == _term_signs(P.rows, ref, R, C), (P.to_text(), R, C)
+    return len(memo)
+
+
+def test_principal_plan_matches_recursion():
+    # every pattern of orders 1-3, then seeded patterns at orders 4-6 with a
+    # zero row or column among them; past the plan's order (7, 8) the table
+    # comes from the recursion itself
+    assert _LAPLACE_PLAN_ORDER == 6
+    with pytest.raises(ValueError):
+        _laplace_plan(7)  # no plan is built, or cached, past the cut-off
+    signs = (Sign.ZERO, Sign.PLUS, Sign.MINUS)
+    count = 0
+    for n in (1, 2, 3):
+        for cells in product(signs, repeat=n * n):
+            _plan_matches_recursion(SignPattern(tuple(zip(*[iter(cells)] * n))))
+            count += 1
+    assert count == 3 + 3**4 + 3**9
+    rng = random.Random(26)
+    minors = {}
+    for n in (4, 5, 6):
+        for density in (0.3, 0.6, 1.0):
+            for i in range(12):
+                rows = [[rng.choice((1, -1)) if rng.random() < density else 0 for _ in range(n)]
+                        for _ in range(n)]
+                if i % 4 == 1:
+                    rows[rng.randrange(n)] = [0] * n
+                elif i % 4 == 2:
+                    z = rng.randrange(n)
+                    rows = [[0 if j == z else x for j, x in enumerate(row)] for row in rows]
+                minors[n] = _plan_matches_recursion(SignPattern.from_rows(rows))
+    # the plan's minors less its one-row level, whose columns lie at or below the row
+    assert minors == {4: 33 - 10, 5: 88 - 15, 6: 232 - 21}
+    for n in (7, 8):
+        for _ in range(3):
+            P = rand_pattern(rng, n)
+            assert principal_term_signs(P) == [_term_signs(P.rows, {}, m, m) for m in range(1 << n)]
 
 
 def _term_free_families(n):

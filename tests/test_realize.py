@@ -483,6 +483,34 @@ def test_grid_realizations_subsample_deterministic():
     assert a[0] == "\n".join(" ".join("1" for _ in range(4)) for _ in range(4))
 
 
+# sha256 over each level's entry, sub and principal arrays of `_minor_levels(n)`,
+# each as its dtype string and shape, then its bytes
+MINOR_LEVEL_DIGESTS = {
+    1: "5741b331ee92b7a510875076a5678d991e165caf47cd9e99a02cf5d7bf14aa8c",
+    2: "b13bc528eb48f3b52043286a2d759dfa526f83d0cefaed5653073979d049e8f1",
+    3: "0459d9a0118391b6fbb859a2ab941469374fdf242dceda6b6147908db94b00fe",
+    4: "99b802ae00adacca940ea7642a9ccb320056b481e8704790704eee5c472b02b3",
+    5: "a65ca51051942305588df8943472ca6285fdd39d99875c7018cf28516530ec33",
+    6: "bcab22ba4938c37498f8557ca1329e1a46557efe1f2ed71d9e6b46160c0443ea",
+    7: "b173572af43bbfcac3a1bbb03e253a21b195c572e62b02c3cac4330781f1fbba",
+    8: "8ba7b5b3df2910142695cc64f4d1bc5230ea180a847ae5bd86035289a857f259",
+    9: "bf966a38e03793c550bd63c88876b6c5086889de5e8a69293cc91619a303a712",
+    10: "694a526a0a6855edc06aeabbd1dfa874c02d18d6c7fc3e412851e5add74447eb",
+}
+
+
+def test_minor_levels_digests():
+    # the sweep's Laplace tables come from the level walk that the principal
+    # term-sign table's plan is built from; the digests pin every byte of them
+    for n, digest in MINOR_LEVEL_DIGESTS.items():
+        h = hashlib.sha256()
+        for level in realize._minor_levels(n):
+            for a in level:
+                h.update(f"{a.dtype.str}{a.shape}".encode())
+                h.update(a.tobytes())
+        assert h.hexdigest() == digest, n
+
+
 def test_sweep_matches_stream():
     P = parse_pattern("+-\n+-")
     g = MagnitudeGrid.of(1, 2, 3)
