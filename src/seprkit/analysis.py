@@ -19,7 +19,7 @@ from .pattern import (
     OrderGuardError,
     SignPattern,
     _masks_by_size,
-    _principal_table,
+    _order_signs,
     _term_signs,
     mask_from,
     mask_indices,
@@ -74,21 +74,14 @@ def _term_verdict(n: int, k: int, signs) -> TermVerdict:
     the signed ones; with ambiguity present and witnesses missing the term
     is unknown.
     """
-    present = 0
-    witness: dict[int, int] = {}  # sign bit -> first mask with that det
-    ambiguous = []
-    for mask in _masks_by_size(n)[k]:
-        bit = signs[mask] or 4  # 1 +, 2 -, 3 ambiguous, 4 zero (no term)
-        if bit == 3:
-            ambiguous.append(mask)
-            continue
-        present |= bit
-        witness.setdefault(bit, mask)
+    masks = _masks_by_size(n)[k]
+    present, ambiguous = _order_signs(signs, masks)  # present: 1 +, 2 -, 4 zero (no term)
     if not ambiguous:
         return TermVerdict(k, TermStatus.FIXED_BY_SIGNED_DETS, SeprSymbol.from_sign_mask(present))
     if present == 7:
+        witness = tuple(next(m for m in masks if (signs[m] or 4) == bit) for bit in (1, 2, 4))
         return TermVerdict(k, TermStatus.FIXED_SSTAR_BY_WITNESSES, SeprSymbol.SST,
-                           (witness[1], witness[2], witness[4]), tuple(ambiguous))
+                           witness, tuple(ambiguous))
     return TermVerdict(k, TermStatus.UNKNOWN, None, None, tuple(ambiguous))
 
 
@@ -154,12 +147,12 @@ def unique_verdict(P: SignPattern, search_budget: int = 4000,
     cannot happen there, so the search grid was too small) and as
     undecided beyond.
     """
-    signs, memo = _principal_table(P)
+    signs = principal_term_signs(P)
     verdicts = tuple(_term_verdict(P.n, k, signs) for k in range(1, P.n + 1))
     if all(v.fixed for v in verdicts):
         seq = SeprSequence(tuple(v.symbol for v in verdicts))
         return UniqueVerdict(UniqueStatus.UNIQUE_BY_FIXED_TERMS, seq, verdicts)
-    found = _witness_search(P, search_budget, seed, grid, signs, memo)
+    found = _witness_search(P, search_budget, seed, grid, signs)
     if found is not None:
         return UniqueVerdict(UniqueStatus.NOT_UNIQUE, None, verdicts, found)
     if P.n <= 4:
@@ -199,20 +192,14 @@ def position_upper_sets(P: SignPattern) -> tuple[frozenset[SeprSymbol], ...]:
 
     At order k the sign-determined minors show the sign bits `fixed`; each
     of the `ambiguous` others may be +, - or 0, so together they add any
-    nonempty set of at most `ambiguous` of the three bits.
+    nonempty set of at most len(ambiguous) of the three bits.
     """
     n = P.n
     signs = principal_term_signs(P)
     out = []
     for masks in _masks_by_size(n)[1:]:
-        fixed = ambiguous = 0
-        for mask in masks:
-            s = signs[mask]
-            if s == 3:
-                ambiguous += 1
-            else:
-                fixed |= s or 4
-        reachable = {fixed | u for u in range(1, 8) if u.bit_count() <= ambiguous} or {fixed}
+        fixed, ambiguous = _order_signs(signs, masks)
+        reachable = {fixed | u for u in range(1, 8) if u.bit_count() <= len(ambiguous)} or {fixed}
         out.append(frozenset(SeprSymbol.from_sign_mask(u) for u in reachable))
     return tuple(out)
 

@@ -444,15 +444,3 @@ def path_pattern(k: int, loops: str = "none", preset: str = "skew") -> SignPatte
 
 def star_pattern(k: int, loops: str = "none", preset: str = "skew") -> SignPattern:
     return make_family(DigraphFamily("star", k, loops, preset))
-
-
-def cycle_pattern(k: int, loops: int = 0, preset: str = "skew") -> SignPattern:
-    return make_family(DigraphFamily("cycle", k, loops, preset))
-
-
-def complete_pattern(k: int, loops: str = "none", preset: str = "symmetric-positive") -> SignPattern:
-    return make_family(DigraphFamily("complete", k, loops, preset))
-
-
-def leaf_loop_star_pattern(k: int, preset: str = "symmetric-positive") -> SignPattern:
-    return make_family(DigraphFamily("leaf-loop-star", k, "none", preset))

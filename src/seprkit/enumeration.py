@@ -91,13 +91,6 @@ def _row_alphabets(fam: PatternFamily) -> list[list[tuple[Sign, ...]]]:
     return [[diag if j == i else off for j in range(i * first, n)] for i in range(n)]
 
 
-def family_size(fam: PatternFamily) -> int:
-    """Closed-form size for alphabet-product families (no post-filters)."""
-    if "semi-stable" in fam.constraints or "irreducible" in fam.constraints:
-        raise ValueError("no closed form for filtered families")
-    return prod(len(a) for row in _row_alphabets(fam) for a in row)
-
-
 def _stacked_rows(tails: list[list[tuple[Sign, ...]]], symmetric: bool) -> Iterator[SignPattern]:
     """Patterns whose row i is a head plus one of tails[i], the last row
     changing fastest; the head is column i of the rows above when

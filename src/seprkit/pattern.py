@@ -4,20 +4,20 @@ A sign pattern is a square grid over {+, -, 0}.  Its determinant is the
 standard permutation expansion evaluated in sign arithmetic: the result
 is +, -, 0, or ambiguous (both a positive and a negative term occur).
 One memoized Laplace recursion, _term_signs, gives the term signs of any
-minor and guides the walk to the first term of each sign.  The table of
-all principal subpatterns comes, to order _LAPLACE_PLAN_ORDER, from one
-flat pass over a static per-order Laplace plan, which also fills the
-recursion's memo; above that order, from the recursion on one memo.  The
-plan's level walk is the one the batched sweep's int64 tables are built
-from.  Index sets are bitmasks; the bigraph view ties nonzero determinant
-terms to perfect matchings.
+minor (each search keeps its own memo) and guides the walk to the first
+term of each sign.  The table of all principal subpatterns comes, to
+order _LAPLACE_PLAN_ORDER, from one flat pass over a static per-order
+Laplace plan, and above it from the recursion; _order_signs splits one
+order of it.  The plan's level walk is the one the batched sweep's int64
+tables are built from.  Index sets are bitmasks; the bigraph view ties
+nonzero determinant terms to perfect matchings.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, combinations
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .signs import AmbSign, Sign
 
@@ -284,30 +284,24 @@ def _term_signs(rows: Sequence[Sequence[Sign]], memo: dict, R: int, C: int) -> i
     return out
 
 
-def _first_terms(
-    rows: Sequence[Sequence[Sign]],
-    row_idx: Sequence[int],
-    col_idx: Sequence[int],
-    memo: Optional[dict] = None,
-) -> dict[Sign, list[int]]:
-    """First nonzero permutation term of each sign of det P[row_idx, col_idx].
+def _first_terms(rows: Sequence[Sequence[Sign]], idx: Sequence[int],
+                 memo: dict) -> dict[Sign, list[int]]:
+    """First nonzero permutation term of each sign of det P[idx, idx].
 
     Maps each term sign that occurs to the lexicographically first term of
-    that sign, given as the position in `col_idx` picked in each row (both
-    index sequences ascend).  A greedy walk over the rows: each takes the
-    first free column whose remaining minor, read from the `_term_signs`
-    memo (`memo` when given, shared with other calls on the same rows),
-    still has a term of the sign the running product needs.
+    that sign, as the position in `idx` (ascending) picked in each row.  A
+    greedy walk over the rows: each takes the first free column whose
+    remaining minor, read from the `_term_signs` memo `memo`, still has a
+    term of the sign the running product needs.
     """
-    memo = {} if memo is None else memo
-    R, C = mask_from(row_idx), mask_from(col_idx)
+    R = C = mask_from(idx)
     found: dict[Sign, list[int]] = {}
     signs = _term_signs(rows, memo, R, C)
     for bit, sign in ((1, Sign.PLUS), (2, Sign.MINUS)):
         if not signs & bit:
             continue
         picks, r, c, need = [], R, C, bit
-        for i in row_idx:
+        for i in idx:
             r ^= 1 << i
             odd = False
             rest = c
@@ -366,9 +360,9 @@ def _laplace_levels(n: int) -> Iterator[tuple[dict[int, int], list[list[int]], l
     order.  Expanding along row r,
     E[R, C] = sum over t of (-1)^t E[r, C[t]] E[R - r, C - C[t]], and each
     sub-minor lies on level j - 1 (level 0 is the empty minor, 1).  A level
-    is (keys, entry, sub): keys maps C << n | R, the `_term_signs` memo key
-    of a minor, to its row m, in row order; entry[m][t] = r*n + C[t], plus
-    n*n for an odd t; sub[m][t], the sub-minor's row on level j - 1.
+    is (keys, entry, sub): keys maps C << n | R to the minor's row m, in row
+    order; entry[m][t] = r*n + C[t], plus n*n for an odd t; sub[m][t], the
+    sub-minor's row on level j - 1.
     """
     prev = {0: 0}
     for j in range(1, n + 1):
@@ -386,58 +380,43 @@ def _laplace_levels(n: int) -> Iterator[tuple[dict[int, int], list[list[int]], l
 
 
 @lru_cache(maxsize=None)
-def _laplace_plan(n: int) -> tuple[tuple[tuple, tuple[int, ...], tuple[tuple[int, int], ...]], ...]:
-    """`_laplace_levels(n)` as `_principal_table` reads it, for n up to
+def _laplace_plan(n: int) -> tuple[tuple[tuple, tuple[tuple[int, int], ...]], ...]:
+    """`_laplace_levels(n)` as `principal_term_signs` reads it, for n up to
     _LAPLACE_PLAN_ORDER (kept for the life of the process).
 
-    Per level, (terms, keys, principal): terms[m], the (entry, sub) pairs of
-    minor m; keys, the memo keys of the level's minors, empty on the one-row
-    level, which `_term_signs` reads without its memo; principal, the
-    (row, mask) of each minor with C == R.
+    Per level, (terms, principal): terms[m], the (entry, sub) pairs of minor
+    m; principal, the (row, mask) of each minor with C == R.
     """
     if not 1 <= n <= _LAPLACE_PLAN_ORDER:
         raise ValueError(f"the Laplace plan covers orders 1..{_LAPLACE_PLAN_ORDER}")
     full = full_mask(n)
-    return tuple((tuple(map(tuple, map(zip, entry, sub))), tuple(keys) if j > 1 else (),
+    return tuple((tuple(map(tuple, map(zip, entry, sub))),
                   tuple((m, k & full) for m, k in enumerate(keys) if k >> n == k & full))
-                 for j, (keys, entry, sub) in enumerate(_laplace_levels(n), start=1))
+                 for keys, entry, sub in _laplace_levels(n))
 
 
 def principal_term_signs(P: SignPattern) -> list[int]:
     """Term signs of every principal minor, indexed by mask: bit 1 a
     positive term, bit 2 a negative one (0: no term, 3: ambiguous).
 
-    To order _LAPLACE_PLAN_ORDER (6) the table comes from one pass over the
-    order's Laplace plan; above it, from `_term_signs` on one memo.
-    """
-    return _principal_table(P)[0]
-
-
-def _principal_table(P: SignPattern) -> tuple[list[int], dict]:
-    """`principal_term_signs` and a `_term_signs` memo of P's rows that holds
-    the table's multi-row minors.
-
-    To order _LAPLACE_PLAN_ORDER: one pass over `_laplace_plan(n)`, level by
-    level.  A minor's term through entry e and sub-minor s has s's term
-    signs, swapped when e is negative xor its column is odd, and none when e
-    is 0; a minor stops at both signs.  Every multi-row minor of the plan,
-    principal or not, then goes into the memo, so `_first_terms`,
-    `_targeted` and the all-nonzero walk read it there.  Above that order
-    the recursion fills the memo as it goes.
+    To order _LAPLACE_PLAN_ORDER (6), one pass over `_laplace_plan(n)`: a
+    minor's term through entry e and sub-minor s has s's term signs, swapped
+    when e is negative xor its column is odd, none when e is 0, and a minor
+    stops at both signs.  Above it, `_term_signs` on one memo.
     """
     n = P.n
     if n > DET_ORDER_GUARD:
         raise OrderGuardError(f"signed determinant limited to order {DET_ORDER_GUARD}")
-    memo: dict = {}
     if n > _LAPLACE_PLAN_ORDER:
-        return [_term_signs(P.rows, memo, m, m) for m in range(1 << n)], memo
+        memo: dict = {}
+        return [_term_signs(P.rows, memo, m, m) for m in range(1 << n)]
     entries = [*chain.from_iterable(P.rows)]
     # by entry code r*n + c, plus n*n for an odd column
     flip = [*map(_EVEN_FLIP.__getitem__, entries), *map(_ODD_FLIP.__getitem__, entries)]
     table = [0] * (1 << n)
     table[0] = 1
     signs = [1]  # level 0: the empty minor
-    for terms, keys, principal in _laplace_plan(n):
+    for terms, principal in _laplace_plan(n):
         level = []
         for pairs in terms:
             out = 0
@@ -448,9 +427,21 @@ def _principal_table(P: SignPattern) -> tuple[list[int], dict]:
             level.append(out)
         for m, mask in principal:
             table[mask] = level[m]
-        memo.update(zip(keys, level))
         signs = level
-    return table, memo
+    return table
+
+
+def _order_signs(signs, masks: Sequence[int]) -> tuple[int, list[int]]:
+    """One order of a principal term-sign table `signs` (a list or dict by
+    mask), over its `masks`: the sign bits (1 +, 2 -, 4 zero) of the
+    sign-determined minors, and the ambiguous minors' masks in `masks` order."""
+    bits, ambiguous = 0, []
+    for m in masks:
+        if (s := signs[m]) == 3:
+            ambiguous.append(m)
+        else:
+            bits |= s or 4
+    return bits, ambiguous
 
 
 def is_ambiguous(P: SignPattern) -> bool:

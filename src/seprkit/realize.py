@@ -12,8 +12,8 @@ bordered minors follow from its parent's by one exact step of Sylvester's
 identity (below a zero principal minor, from _det on the table of its
 nearest nonzero ancestor; a set with at most three indices after it is
 settled from its undivided numerators, with no table).  Term signs come
-from the pattern module: its principal table and the memo that comes with
-it, or its one recursion; the all-nonzero walk asks only about zero minors
+from the pattern module: its principal table, or its one recursion on a
+memo each search keeps; the all-nonzero walk asks only about zero minors
 that have a term.  Alongside the plain grid sweep the module provides
 targeted constructors (dominate a chosen term, hit an exact zero of an
 ambiguous minor, make all ambiguous minors nonzero).  The witness
@@ -58,9 +58,10 @@ from .pattern import (
     _first_terms,
     _laplace_levels,
     _masks_by_size,
-    _principal_table,
+    _order_signs,
     _term_signs,
     mask_indices,
+    principal_term_signs,
 )
 from .signs import SeprSequence, SeprSymbol, Sign, neg_superscripts
 
@@ -800,7 +801,7 @@ def _targeted(P: SignPattern, idx: Sequence[int],
     (+, then -) and zero_minor_realization make for the minor on `idx`, the zero
     walk starting from the two dominated rows; `memo` is a `_term_signs` memo."""
     unit, whole = [[int(s) for s in row] for row in P.rows], [1] * P.n
-    terms = _first_terms(P.rows, idx, idx, memo)
+    terms = _first_terms(P.rows, idx, memo)
     if not terms:
         yield Sign.ZERO, unit, whole
     dominated = {}
@@ -889,24 +890,21 @@ def distinct_sepr_search(P: SignPattern, budget: int = 4000, seed: int = 0,
     """
     if P.n > SEPR_ORDER_GUARD:
         raise OrderGuardError(f"sepr computation limited to order {SEPR_ORDER_GUARD}")
-    return _witness_search(P, budget, seed, grid, *_principal_table(P))
+    return _witness_search(P, budget, seed, grid, principal_term_signs(P))
 
 
 def _witness_search(P: SignPattern, budget: int, seed: int, grid: Optional[MagnitudeGrid],
-                    signs: list[int], memo: dict,
+                    signs: list[int],
                     ) -> Optional[tuple[RationalMatrix, SeprSequence, RationalMatrix, SeprSequence]]:
-    """distinct_sepr_search on P's principal term-sign table `signs` and the
-    memo that built it; only the two witnesses returned become RationalMatrix."""
+    """distinct_sepr_search on P's principal term-sign table `signs`; only the
+    two witnesses returned become RationalMatrix."""
     n = P.n
     if n > SEPR_ORDER_GUARD:
         raise OrderGuardError(f"sepr computation limited to order {SEPR_ORDER_GUARD}")
-    fixed, ambiguous = [0] * n, []  # by order - 1: sign bits (1 +, 2 -, 4 zero) of the rest
-    for k, masks in enumerate(_masks_by_size(n)[1:]):
-        for m in masks:
-            if signs[m] == 3:
-                ambiguous.append((k, mask_indices(m)))
-            else:
-                fixed[k] |= signs[m] or 4
+    split = [_order_signs(signs, masks) for masks in _masks_by_size(n)[1:]]
+    fixed = [bits for bits, _ in split]  # by order - 1: sign bits (1 +, 2 -, 4 zero) of the rest
+    ambiguous = [(k, mask_indices(m)) for k, (_, amb) in enumerate(split) for m in amb]
+    memo: dict = {}  # one `_term_signs` memo for every targeted candidate
 
     def candidates() -> Iterator[tuple[list[list[int]], list[int]]]:
         yield [[int(s) for s in row] for row in P.rows], [1] * n
@@ -914,7 +912,7 @@ def _witness_search(P: SignPattern, budget: int, seed: int, grid: Optional[Magni
             for _, rows, dens in _targeted(P, idx, memo):
                 yield rows, dens
         if n <= ALLNONZERO_ORDER_GUARD:
-            yield _allnonzero_rows(P, memo)
+            yield _allnonzero_rows(P)
         g = grid or MagnitudeGrid.default()
         vals, mult = g._scaled
         positions = P.nonzero_positions()
@@ -985,13 +983,12 @@ def allnonzero_realization(P: SignPattern) -> RationalMatrix:
     """
     if P.n > ALLNONZERO_ORDER_GUARD:
         raise OrderGuardError(f"limited to order {ALLNONZERO_ORDER_GUARD}")
-    return _rational(*_allnonzero_rows(P, {}))
+    return _rational(*_allnonzero_rows(P))
 
 
-def _allnonzero_rows(P: SignPattern, memo: dict) -> tuple[list[list[int]], list[int]]:
-    """The walk of allnonzero_realization: (N, L), with `memo` a `_term_signs`
-    memo of P's rows."""
-    n = P.n
+def _allnonzero_rows(P: SignPattern) -> tuple[list[list[int]], list[int]]:
+    """The walk of allnonzero_realization: (N, L)."""
+    n, memo = P.n, {}
     N, L = [[int(s) for s in row] for row in P.rows], [1] * n
     masks = _masks_by_size(n)
     size = [len(ms) for ms in masks]  # C(n, k)

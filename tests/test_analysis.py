@@ -25,10 +25,9 @@ from seprkit.analysis import (
     unique_verdict,
 )
 from seprkit.digraph import (
-    cycle_pattern,
-    complete_pattern,
+    DigraphFamily,
     is_sign_semi_stable,
-    leaf_loop_star_pattern,
+    make_family,
     path_pattern,
     star_pattern,
 )
@@ -327,15 +326,15 @@ def test_non_square_patterns_raise_value_error(rows):
 # -- predictions ------------------------------------------------------------
 
 def test_predicted_cycles():
-    pred = predicted_sepr(cycle_pattern(3, preset="symmetric-positive"))
+    pred = predicted_sepr(make_family(DigraphFamily("cycle", 3, 0, "symmetric-positive")))
     assert pred.rule == "n-cycle" and str(pred.sequence) == "NNA+"
     # 4-cycle, all plus: signed product is negative
-    pred = predicted_sepr(cycle_pattern(4, preset="symmetric-positive"))
+    pred = predicted_sepr(make_family(DigraphFamily("cycle", 4, 0, "symmetric-positive")))
     assert str(pred.sequence) == "NNNA-"
 
 
 def test_predicted_cycle_with_loops():
-    P = cycle_pattern(5, loops=2, preset="negative-diagonal")
+    P = make_family(DigraphFamily("cycle", 5, 2, "negative-diagonal"))
     pred = predicted_sepr(P)
     assert pred.rule == "n-cycle-with-loops"
     assert pred.sequence == fixed_sequence(P)
@@ -343,9 +342,9 @@ def test_predicted_cycle_with_loops():
 
 def test_predicted_matches_fixed_sequences():
     cases = [
-        cycle_pattern(4, preset="skew"),
-        cycle_pattern(6, loops=3, preset="negative-diagonal"),
-        cycle_pattern(5, loops=5, preset="symmetric-positive"),
+        make_family(DigraphFamily("cycle", 4, 0, "skew")),
+        make_family(DigraphFamily("cycle", 6, 3, "negative-diagonal")),
+        make_family(DigraphFamily("cycle", 5, 5, "symmetric-positive")),
         path_pattern(5, "one"),
         star_pattern(4, "center"),
         parse_pattern("0-00\n+0+0\n000+\n+000"),
@@ -360,7 +359,7 @@ def test_predicted_none_for_mismatched_all_loop_cycle():
     # 5-cycle with five negative loops but positive signed cycle product:
     # the determinant mixes both signs, so nothing is predicted (and the
     # pattern is in fact not unique)
-    P = cycle_pattern(5, loops=5, preset="negative-diagonal")
+    P = make_family(DigraphFamily("cycle", 5, 5, "negative-diagonal"))
     assert predicted_sepr(P) is None
     assert fixed_sequence(P) is None
 
@@ -395,7 +394,7 @@ def test_predicted_doubly_directed_cycles():
     assert predicted_sepr(parse_pattern("0+0-\n-0+0\n0-0+\n+0-0")) is None
     # symmetric 3-cycle and 5-cycle
     for n in (3, 5):
-        C = cycle_pattern(n, preset="symmetric-positive")
+        C = make_family(DigraphFamily("cycle", n, 0, "symmetric-positive"))
         rows = [list(r) for r in C.rows]
         for i in range(n):
             rows[(i + 1) % n][i] = Sign.PLUS
@@ -512,11 +511,12 @@ def test_nonneg_check_matches_order3_catalog():
 def test_classify_determined_cases():
     cases = [
         (parse_pattern("+00\n0+0\n00+"), "1", "A+A+A+"),
-        (complete_pattern(3), "2", "NA-A+"),
-        (complete_pattern(2), "2", "NA-"),
+        (make_family(DigraphFamily("complete", 3, "none", "symmetric-positive")), "2", "NA-A+"),
+        (make_family(DigraphFamily("complete", 2, "none", "symmetric-positive")), "2", "NA-"),
         (SignPattern.zero(3), "3", "NNN"),
-        (leaf_loop_star_pattern(4), "4", "S+A*A*A-"),
-        (complete_pattern(2, loops="one"), "5", "S+A-"),
+        (make_family(DigraphFamily("leaf-loop-star", 4, "none", "symmetric-positive")), "4",
+         "S+A*A*A-"),
+        (make_family(DigraphFamily("complete", 2, "one", "symmetric-positive")), "5", "S+A-"),
         (parse_pattern("+00\n000\n000"), "6", "S+NN"),
         (parse_pattern("+00\n0+0\n000"), "7", "S+S+N"),
     ]
@@ -530,7 +530,8 @@ def test_classify_open_and_none():
     cls = classify_symmetric_nonneg_unique(
         path_pattern(4, preset="symmetric-positive"))
     assert cls.case == "open" and str(cls.sequence) == "NS-NA+"
-    assert classify_symmetric_nonneg_unique(complete_pattern(4)) is None
+    K4 = make_family(DigraphFamily("complete", 4, "none", "symmetric-positive"))
+    assert classify_symmetric_nonneg_unique(K4) is None
     with pytest.raises(ValueError):
         classify_symmetric_nonneg_unique(parse_pattern("0+\n-0"))
 

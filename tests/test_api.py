@@ -8,7 +8,7 @@ import inspect
 from types import ModuleType
 
 import seprkit
-from seprkit import digraph, pattern, realize, signs
+from seprkit import digraph, enumeration, pattern, realize, signs
 
 PUBLIC_NAMES = [
     "AmbSign",
@@ -78,6 +78,10 @@ RETIRED = [
     (signs.SeprSequence, "order"),
     (pattern.DetSummary.from_signs(1), "term_count_bound"),  # a field lives on instances
     (realize.MagnitudeGrid, "epsilon_preset"),
+    (digraph, "cycle_pattern"),
+    (digraph, "complete_pattern"),
+    (digraph, "leaf_loop_star_pattern"),
+    (enumeration, "family_size"),
 ]
 
 

@@ -11,13 +11,10 @@ from seprkit.digraph import (
     DigraphFamily,
     StabilityVerdict,
     all_cycle_products_negative,
-    complete_pattern,
-    cycle_pattern,
     cycle_report,
     is_irreducible,
     is_sign_semi_stable,
     is_sign_stable_irreducible,
-    leaf_loop_star_pattern,
     make_family,
     matching_number,
     path_pattern,
@@ -109,12 +106,13 @@ def test_simplify_examples():
 
 
 def test_simple_cycles():
-    assert sorted(map(len, simple_cycles(cycle_pattern(4)))) == [4]
+    assert sorted(map(len, simple_cycles(make_family(DigraphFamily("cycle", 4, 0, "skew"))))) == [4]
     assert sorted(map(len, simple_cycles(parse_pattern("-+\n-0")))) == [1, 2]
 
 
 def test_simple_cycle_cap(monkeypatch):
-    K5 = complete_pattern(5)  # 10 two-cycles, 20 + 30 + 24 longer ones
+    # 10 two-cycles, 20 + 30 + 24 longer ones
+    K5 = make_family(DigraphFamily("complete", 5, "none", "symmetric-positive"))
     assert len(list(simple_cycles(K5))) == 84
     assert issubclass(CycleCapExceeded, OrderGuardError)
     monkeypatch.setattr(digraph, "SIMPLE_CYCLE_CAP", 50)
@@ -122,7 +120,8 @@ def test_simple_cycle_cap(monkeypatch):
         list(simple_cycles(K5))
     with pytest.raises(CycleCapExceeded):
         cycle_report(K5)
-    assert len(list(simple_cycles(complete_pattern(4)))) == 20  # under the cap
+    K4 = make_family(DigraphFamily("complete", 4, "none", "symmetric-positive"))
+    assert len(list(simple_cycles(K4))) == 20  # under the cap
 
 
 def composite_orders_oracle(P):
@@ -145,7 +144,7 @@ def composite_orders_oracle(P):
 
 
 def test_cycle_report_examples():
-    rep = cycle_report(cycle_pattern(5))
+    rep = cycle_report(make_family(DigraphFamily("cycle", 5, 0, "skew")))
     assert rep.max_simple_cycle_length == 5
     assert rep.composite_cycle_orders == frozenset({5})
 
@@ -214,7 +213,7 @@ def test_cycle_report_equals_per_mask_reference():
 def test_cycle_report_order_guard():
     # past DET_ORDER_GUARD the guard trips before any cycle or minor is read;
     # a low max_order still reports
-    P = cycle_pattern(DET_ORDER_GUARD + 1)
+    P = make_family(DigraphFamily("cycle", DET_ORDER_GUARD + 1, 0, "skew"))
     with pytest.raises(OrderGuardError):
         cycle_report(P, max_order=DET_ORDER_GUARD + 1)
     with pytest.raises(OrderGuardError):
@@ -342,7 +341,8 @@ def test_matching_number():
     assert matching_number(star_pattern(5)) == 1
     pairs = path_pattern(2).direct_sum(path_pattern(2)).direct_sum(path_pattern(2))
     assert matching_number(pairs) == 3
-    assert matching_number(complete_pattern(4)) == 2
+    K4 = make_family(DigraphFamily("complete", 4, "none", "symmetric-positive"))
+    assert matching_number(K4) == 2
     assert matching_number(SignPattern.zero(3)) == 0
     # forests answer at every order, past MATCHING_ORDER_GUARD too; the
     # bigraph of a loopless doubly directed forest is two copies of it
@@ -353,7 +353,7 @@ def test_matching_number():
             assert 2 * matching_number(P) == max_bipartite_matching(bigraph(P)), \
                 P.to_text()
     with pytest.raises(OrderGuardError):
-        matching_number(cycle_pattern(MATCHING_ORDER_GUARD + 1))
+        matching_number(make_family(DigraphFamily("cycle", MATCHING_ORDER_GUARD + 1, 0, "skew")))
 
 
 def test_all_cycle_products_negative():
@@ -406,9 +406,9 @@ def test_cycle_screen_matches_unscreened_and_term_sign_law():
 def test_make_family_shapes():
     assert star_pattern(4, "center").rows[0][0] is Sign.MINUS
     assert star_pattern(4, "center").to_text() == "-+++\n-000\n-000\n-000"
-    c = cycle_pattern(3, preset="symmetric-positive")
+    c = make_family(DigraphFamily("cycle", 3, 0, "symmetric-positive"))
     assert c.to_text() == "0+0\n00+\n+00"
-    lls = leaf_loop_star_pattern(3)
+    lls = make_family(DigraphFamily("leaf-loop-star", 3, "none", "symmetric-positive"))
     assert lls.to_text() == "0++\n++0\n+0+"
 
 
@@ -424,15 +424,15 @@ def test_family_errors():
 
 
 def test_complete_patterns_ambiguous():
-    assert is_ambiguous(complete_pattern(4))
-    assert is_ambiguous(complete_pattern(5))
-    assert is_ambiguous(complete_pattern(3, loops="one"))
-    assert is_ambiguous(complete_pattern(4, loops="one"))
-    assert not is_ambiguous(complete_pattern(3))
+    assert is_ambiguous(make_family(DigraphFamily("complete", 4, "none", "symmetric-positive")))
+    assert is_ambiguous(make_family(DigraphFamily("complete", 5, "none", "symmetric-positive")))
+    assert is_ambiguous(make_family(DigraphFamily("complete", 3, "one", "symmetric-positive")))
+    assert is_ambiguous(make_family(DigraphFamily("complete", 4, "one", "symmetric-positive")))
+    assert not is_ambiguous(make_family(DigraphFamily("complete", 3, "none", "symmetric-positive")))
 
 
 def test_irreducibility():
-    assert is_irreducible(cycle_pattern(4))
+    assert is_irreducible(make_family(DigraphFamily("cycle", 4, 0, "skew")))
     assert not is_irreducible(parse_pattern("0+\n00"))
 
 

@@ -14,7 +14,6 @@ from seprkit.enumeration import (
     VerificationReport,
     _forest_edge_sets,
     enumerate_patterns,
-    family_size,
     orbit_representatives,
     semistable_sequence,
     simplified_semistable_patterns,
@@ -35,18 +34,23 @@ from seprkit.signs import SeprSequence, SeprSymbol, Sign
 
 
 def test_family_sizes():
-    assert family_size(PatternFamily(2)) == 81
-    assert family_size(PatternFamily(3)) == 3**9
-    assert family_size(PatternFamily(3, frozenset({"symmetric", "nonnegative"}))) == 64
-    assert family_size(PatternFamily(4, frozenset({"zero-diagonal",
-                                                   "full-off-diagonal"}))) == 4096
-    assert family_size(PatternFamily(2, frozenset({"symmetric"}))) == 27
+    # an alphabet-product family yields exactly its size, and a budget one
+    # short of that size is refused up front
+    for fam, size in ((PatternFamily(2), 81),
+                      (PatternFamily(3), 3**9),
+                      (PatternFamily(3, frozenset({"symmetric", "nonnegative"})), 64),
+                      (PatternFamily(4, frozenset({"zero-diagonal", "full-off-diagonal"})), 4096),
+                      (PatternFamily(2, frozenset({"symmetric"})), 27)):
+        assert sum(1 for _ in enumerate_patterns(fam, budget=size)) == size
+        with pytest.raises(EnumerationBudgetExceeded):
+            list(enumerate_patterns(fam, budget=size - 1))
 
 
 def test_enumeration_matches_size_and_is_duplicate_free():
-    for fam in (PatternFamily(2), PatternFamily(3, frozenset({"symmetric", "nonnegative"}))):
+    for fam, size in ((PatternFamily(2), 81),
+                      (PatternFamily(3, frozenset({"symmetric", "nonnegative"})), 64)):
         pats = list(enumerate_patterns(fam))
-        assert len(pats) == family_size(fam)
+        assert len(pats) == size
         assert len(set(pats)) == len(pats)
 
 

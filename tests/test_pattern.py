@@ -25,7 +25,8 @@ from seprkit.pattern import (
     subsets_of_size,
     _LAPLACE_PLAN_ORDER,
     _laplace_plan,
-    _principal_table,
+    _masks_by_size,
+    _order_signs,
     _term_signs,
 )
 from seprkit.realize import (
@@ -199,18 +200,10 @@ def test_signed_det_matches_permutation_expansion():
 
 
 def _plan_matches_recursion(P):
-    """The principal table and every memo entry of `_principal_table`, against
-    `_term_signs` on a fresh memo; the memo holds every multi-row minor of the plan."""
-    n, full = P.n, full_mask(P.n)
-    table, memo = _principal_table(P)
+    """The principal table against `_term_signs` on a fresh memo."""
     ref: dict = {}
-    assert table == [_term_signs(P.rows, ref, m, m) for m in range(1 << n)], P.to_text()
-    for key, signs in memo.items():
-        R, C = key & full, key >> n
-        assert R.bit_count() == C.bit_count() > 1
-        assert not C & ~(R | (R & -R) - 1)  # C lies in R and the columns below min R
-        assert signs == _term_signs(P.rows, ref, R, C), (P.to_text(), R, C)
-    return len(memo)
+    assert principal_term_signs(P) == [_term_signs(P.rows, ref, m, m) for m in range(1 << P.n)], \
+        P.to_text()
 
 
 def test_principal_plan_matches_recursion():
@@ -228,7 +221,6 @@ def test_principal_plan_matches_recursion():
             count += 1
     assert count == 3 + 3**4 + 3**9
     rng = random.Random(26)
-    minors = {}
     for n in (4, 5, 6):
         for density in (0.3, 0.6, 1.0):
             for i in range(12):
@@ -239,13 +231,55 @@ def test_principal_plan_matches_recursion():
                 elif i % 4 == 2:
                     z = rng.randrange(n)
                     rows = [[0 if j == z else x for j, x in enumerate(row)] for row in rows]
-                minors[n] = _plan_matches_recursion(SignPattern.from_rows(rows))
-    # the plan's minors less its one-row level, whose columns lie at or below the row
-    assert minors == {4: 33 - 10, 5: 88 - 15, 6: 232 - 21}
+                _plan_matches_recursion(SignPattern.from_rows(rows))
     for n in (7, 8):
         for _ in range(3):
             P = rand_pattern(rng, n)
             assert principal_term_signs(P) == [_term_signs(P.rows, {}, m, m) for m in range(1 << n)]
+
+
+def _split_by_mask(signs, n, k):
+    """Order k of a principal term-sign table read mask by mask, in
+    lexicographic order of the index sets: (sign bits, ambiguous masks)."""
+    masks = list(subsets_of_size(n, k))
+    bits = sum(bit for bit, s in ((1, 1), (2, 2), (4, 0)) if any(signs[m] == s for m in masks))
+    return bits, [m for m in masks if signs[m] == 3]
+
+
+def test_order_signs_split_the_principal_table():
+    # every order of every order-3 pattern, then seeded patterns at orders
+    # 4-8 with a zero row or column among them, on the table and on a dict
+    # of one order (as fixed_term passes it); the ambiguous masks keep
+    # `_masks_by_size` order, which picks the minors the witness search targets
+    seen_bits, seen_ambiguous = set(), 0
+
+    def check(P):
+        nonlocal seen_ambiguous
+        signs = principal_term_signs(P)
+        for k in range(1, P.n + 1):
+            masks = _masks_by_size(P.n)[k]
+            want = _split_by_mask(signs, P.n, k)
+            assert _order_signs(signs, masks) == want, (P.to_text(), k)
+            assert _order_signs({m: signs[m] for m in masks}, masks) == want, (P.to_text(), k)
+            seen_bits.add(want[0])
+            seen_ambiguous += len(want[1]) > 1
+
+    cells = (Sign.ZERO, Sign.PLUS, Sign.MINUS)
+    for entries in product(cells, repeat=9):
+        check(SignPattern(tuple(zip(*[iter(entries)] * 3))))
+    rng = random.Random(27)
+    for n in range(4, 9):
+        for density in (0.3, 0.6, 1.0):
+            for i in range(4):
+                rows = [[rng.choice((1, -1)) if rng.random() < density else 0 for _ in range(n)]
+                        for _ in range(n)]
+                if i == 1:
+                    rows[rng.randrange(n)] = [0] * n
+                elif i == 2:
+                    z = rng.randrange(n)
+                    rows = [[0 if j == z else x for j, x in enumerate(row)] for row in rows]
+                check(SignPattern.from_rows(rows))
+    assert seen_bits == set(range(8)) and seen_ambiguous > 100
 
 
 def _term_free_families(n):

@@ -776,7 +776,7 @@ def test_first_terms_equal_recursive_reference():
         P = _random_pattern(rng, n, max(1, round(rng.choice((0.3, 0.6, 1.0)) * n * n)))
         for mask in rng.sample(range(1 << n), min(1 << n, 12)):
             idx = mask_indices(mask)
-            terms = _first_terms(P.rows, idx, idx)
+            terms = _first_terms(P.rows, idx, {})
             for target in (Sign.PLUS, Sign.MINUS):
                 picks = terms.get(target)
                 got = None if picks is None else tuple((i, idx[p]) for i, p in zip(idx, picks))
@@ -821,6 +821,17 @@ def test_library_has_no_unused_imports():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused = sorted(set(imported) - used)
         assert not unused, (path.name, unused)
+
+
+def test_sources_parse_at_the_python_floor():
+    # pyproject.toml's requires-python floor: no newer syntax in the
+    # library, the tests or the benchmark
+    root = Path(__file__).resolve().parents[1]
+    assert 'requires-python = ">=3.10"' in (root / "pyproject.toml").read_text()
+    files = [p for d in ("src", "tests", "bench") for p in sorted((root / d).rglob("*.py"))]
+    assert len(files) >= 25
+    for path in files:
+        ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
 
 
 def test_scale_diagonal_to_one():
