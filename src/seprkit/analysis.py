@@ -21,7 +21,6 @@ from .pattern import (
     _masks_by_size,
     _order_signs,
     _term_signs,
-    mask_from,
     mask_indices,
     principal_term_signs,
 )
@@ -248,7 +247,7 @@ def _loop_product_bits(loop_signs: list[Sign], k: int) -> int:
 
 def _loopless_out(P: SignPattern) -> list[int]:
     """Per vertex, the bitmask of its out-neighbours other than itself."""
-    return [mask_from(j for j, s in enumerate(row) if s is not Sign.ZERO and j != i)
+    return [sum(1 << j for j, s in enumerate(row) if s is not Sign.ZERO) & ~(1 << i)
             for i, row in enumerate(P.rows)]
 
 

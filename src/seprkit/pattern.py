@@ -5,7 +5,7 @@ standard permutation expansion evaluated in sign arithmetic: the result
 is +, -, 0, or ambiguous (both a positive and a negative term occur).
 One memoized Laplace recursion, _term_signs, gives the term signs of any
 minor (each search keeps its own memo) and guides the walk to the first
-term of each sign.  The table of all principal subpatterns comes, to
+term of a given sign.  The table of all principal subpatterns comes, to
 order _LAPLACE_PLAN_ORDER, from one flat pass over a static per-order
 Laplace plan, and above it from the recursion; _order_signs splits one
 order of it.  The plan's level walk is the one the batched sweep's int64
@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, combinations
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .signs import AmbSign, Sign
 
@@ -284,43 +284,39 @@ def _term_signs(rows: Sequence[Sequence[Sign]], memo: dict, R: int, C: int) -> i
     return out
 
 
-def _first_terms(rows: Sequence[Sequence[Sign]], idx: Sequence[int],
-                 memo: dict) -> dict[Sign, list[int]]:
-    """First nonzero permutation term of each sign of det P[idx, idx].
+def _first_term(rows: Sequence[Sequence[Sign]], idx: Sequence[int],
+                memo: dict, bit: int) -> Optional[list[int]]:
+    """First nonzero permutation term of sign `bit` (1 +, 2 -) of det P[idx, idx].
 
-    Maps each term sign that occurs to the lexicographically first term of
-    that sign, as the position in `idx` (ascending) picked in each row.  A
-    greedy walk over the rows: each takes the first free column whose
-    remaining minor, read from the `_term_signs` memo `memo`, still has a
-    term of the sign the running product needs.
+    The lexicographically first term of that sign, as the position in `idx`
+    (ascending) picked in each row; None when there is none.  A greedy walk
+    over the rows: each takes the first free column whose remaining minor,
+    read from the `_term_signs` memo `memo`, still has a term of the sign
+    the running product needs.
     """
     R = C = mask_from(idx)
-    found: dict[Sign, list[int]] = {}
-    signs = _term_signs(rows, memo, R, C)
-    for bit, sign in ((1, Sign.PLUS), (2, Sign.MINUS)):
-        if not signs & bit:
-            continue
-        picks, r, c, need = [], R, C, bit
-        for i in idx:
-            r ^= 1 << i
-            odd = False
-            rest = c
-            while rest:  # a term of sign `need` exists, so some column takes it
-                b = rest & -rest
-                rest ^= b
-                e = rows[i][b.bit_length() - 1]
-                if e is not Sign.ZERO:
-                    sub = 3 ^ need if (e is Sign.MINUS) ^ odd else need
-                    if _term_signs(rows, memo, r, c ^ b) & sub:
-                        break
-                odd = not odd
-            else:
-                raise RuntimeError("no column continues a term the memo says exists")
-            picks.append((C & (b - 1)).bit_count())
-            c ^= b
-            need = sub
-        found[sign] = picks
-    return found
+    if not _term_signs(rows, memo, R, C) & bit:
+        return None
+    picks, r, c, need = [], R, C, bit
+    for i in idx:
+        r ^= 1 << i
+        odd = False
+        rest = c
+        while rest:  # a term of sign `need` exists, so some column takes it
+            b = rest & -rest
+            rest ^= b
+            e = rows[i][b.bit_length() - 1]
+            if e is not Sign.ZERO:
+                sub = 3 ^ need if (e is Sign.MINUS) ^ odd else need
+                if _term_signs(rows, memo, r, c ^ b) & sub:
+                    break
+            odd = not odd
+        else:
+            raise RuntimeError("no column continues a term the memo says exists")
+        picks.append((C & (b - 1)).bit_count())
+        c ^= b
+        need = sub
+    return picks
 
 
 def _check_masks(P: SignPattern, *masks: int) -> None:

@@ -4,7 +4,7 @@ Everything here is exact, and realization sweeps are reproducible from a
 seed.  Matrices carry Fraction entries; the walks and sweeps run on integer
 rows.  Each exact minor, determinant or inverse comes from one kernel, _det:
 integer rows (positive row scaling clears the denominators), closed forms to
-order 3 and fraction-free Bareiss elimination above.  Whole tables of minors
+order 4 and fraction-free Bareiss elimination above.  Whole tables of minors
 are built otherwise: by Laplace recursion in the batched sweep and into the
 all-nonzero walk's flat list (whose rows keep one denominator each), and, for the sepr
 of one matrix, by one depth-first walk over index sets in which each set's
@@ -55,7 +55,7 @@ from .pattern import (
     OrderGuardError,
     SignPattern,
     _check_masks,
-    _first_terms,
+    _first_term,
     _laplace_levels,
     _masks_by_size,
     _order_signs,
@@ -242,8 +242,9 @@ def _rational(rows: Sequence[Sequence[int]], dens: Sequence[int]) -> RationalMat
 def _det(rows: Sequence[Sequence[int]], ridx: Sequence[int], cidx: Sequence[int]) -> int:
     """Exact determinant of the integer rows `ridx` cut to the columns `cidx`.
 
-    Closed forms to order 3; above that, fraction-free Bareiss elimination
-    (every division is exact), swapping in a lower row on a zero pivot.
+    Closed forms to order 4, with no division; above that, fraction-free
+    Bareiss elimination (every division is exact), swapping in a lower row on
+    a zero pivot.
     """
     k = len(ridx)
     if k == 0:
@@ -261,6 +262,17 @@ def _det(rows: Sequence[Sequence[int]], ridx: Sequence[int], cidx: Sequence[int]
             r0[a] * (r1[b] * r2[c] - r1[c] * r2[b])
             - r0[b] * (r1[a] * r2[c] - r1[c] * r2[a])
             + r0[c] * (r1[a] * r2[b] - r1[b] * r2[a])
+        )
+    if k == 4:  # the top two rows over the six 2 x 2 minors of the bottom two
+        r0, r1, p, q = rows[ridx[0]], rows[ridx[1]], rows[ridx[2]], rows[ridx[3]]
+        a, b, c, d = cidx
+        ab, ac, ad = p[a] * q[b] - p[b] * q[a], p[a] * q[c] - p[c] * q[a], p[a] * q[d] - p[d] * q[a]
+        bc, bd, cd = p[b] * q[c] - p[c] * q[b], p[b] * q[d] - p[d] * q[b], p[c] * q[d] - p[d] * q[c]
+        return (
+            r0[a] * (r1[b] * cd - r1[c] * bd + r1[d] * bc)
+            - r0[b] * (r1[a] * cd - r1[c] * ad + r1[d] * ac)
+            + r0[c] * (r1[a] * bd - r1[b] * ad + r1[d] * ab)
+            - r0[d] * (r1[a] * bc - r1[b] * ac + r1[c] * ab)
         )
     m = [[rows[i][j] for j in cidx] for i in ridx]
     sign = 1
@@ -799,13 +811,13 @@ def _targeted(P: SignPattern, idx: Sequence[int],
               memo: dict) -> Iterator[tuple[Sign, list[list[int]], list[int]]]:
     """(target, integer rows, positive row denominators) of what dominated_realization
     (+, then -) and zero_minor_realization make for the minor on `idx`, the zero
-    walk starting from the two dominated rows; `memo` is a `_term_signs` memo."""
+    walk starting from the two dominated rows; `memo` is a `_term_signs` memo.
+    Each sign's first term is found only when its candidate is asked for."""
     unit, whole = [[int(s) for s in row] for row in P.rows], [1] * P.n
-    terms = _first_terms(P.rows, idx, memo)
-    if not terms:
-        yield Sign.ZERO, unit, whole
     dominated = {}
-    for target, picks in terms.items():  # + before -
+    for bit, target in ((1, Sign.PLUS), (2, Sign.MINUS)):
+        if (picks := _first_term(P.rows, idx, memo, bit)) is None:
+            continue
         w = 4
         while True:
             rows = [row[:] for row in unit]
@@ -818,6 +830,8 @@ def _targeted(P: SignPattern, idx: Sequence[int],
             w *= 4
         dominated[target] = rows
         yield target, rows, whole
+    if not dominated:
+        yield Sign.ZERO, unit, whole
     if len(dominated) < 2:
         return
     cur, new_rows = [row[:] for row in dominated[Sign.MINUS]], dominated[Sign.PLUS]

@@ -20,7 +20,7 @@ from seprkit.pattern import (
     DET_ORDER_GUARD,
     OrderGuardError,
     SignPattern,
-    _first_terms,
+    _first_term,
     _masks_by_size,
     _term_signs,
     full_mask,
@@ -381,7 +381,7 @@ def _leibniz_det(rows, ridx, cidx):
 
 
 def test_det_matches_permutation_sum():
-    # the closed forms (orders 0-3) and Bareiss (4-6) against the Leibniz sum,
+    # the closed forms (orders 0-4) and Bareiss (5-6) against the Leibniz sum,
     # on ascending index sets with gaps into a larger integer matrix: small
     # entries with many zeros (zero pivots), entries past 2**64, a repeated
     # row and a zero leading entry
@@ -406,6 +406,23 @@ def test_det_matches_permutation_sum():
             want = _leibniz_det(rows, ridx, cidx)
             assert realize._det(rows, ridx, cidx) == want, (k, case, rows, ridx, cidx)
             assert want == 0 or kind != 2 or k < 2
+    # order 4 on index lists out of order, the column list holding two of
+    # the row list's indices and two others
+    for case in range(96):
+        if case % 2:
+            rows = [[rng.choice((-1, 1)) * (big + rng.randrange(big)) if rng.random() < 0.8
+                     else 0 for _ in range(7)] for _ in range(7)]
+        else:
+            rows = [[rng.choice((-2, -1, 0, 0, 1, 2)) for _ in range(7)] for _ in range(7)]
+        ridx = rng.sample(range(7), 4)
+        cidx = rng.sample(ridx, 2) + rng.sample([j for j in range(7) if j not in ridx], 2)
+        rng.shuffle(cidx)
+        for idx in (ridx, cidx):
+            if idx == sorted(idx):
+                idx.reverse()
+        want = _leibniz_det(rows, ridx, cidx)
+        assert realize._det(rows, ridx, cidx) == want, (case, rows, ridx, cidx)
+        assert realize._det(rows, ridx, ridx) == _leibniz_det(rows, ridx, ridx), (case, ridx)
     assert realize._det([], [], []) == 1
 
 
@@ -768,7 +785,8 @@ def _term_positions(P, mask, target):
 
 
 def test_first_terms_equal_recursive_reference():
-    # the pruned search returns the lexicographically first term of each sign
+    # the pruned search returns the lexicographically first term of a given
+    # sign, one sign at a time on one memo
     rng = random.Random(84)
     cases = found = both = 0
     while cases < 2400:
@@ -776,16 +794,41 @@ def test_first_terms_equal_recursive_reference():
         P = _random_pattern(rng, n, max(1, round(rng.choice((0.3, 0.6, 1.0)) * n * n)))
         for mask in rng.sample(range(1 << n), min(1 << n, 12)):
             idx = mask_indices(mask)
-            terms = _first_terms(P.rows, idx, {})
-            for target in (Sign.PLUS, Sign.MINUS):
-                picks = terms.get(target)
+            memo: dict = {}
+            signs = 0
+            for bit, target in ((1, Sign.PLUS), (2, Sign.MINUS)):
+                picks = _first_term(P.rows, idx, memo, bit)
                 got = None if picks is None else tuple((i, idx[p]) for i, p in zip(idx, picks))
                 want = _term_positions(P, mask, target)
                 assert got == want, (P.to_text(), mask, target)
                 found += want is not None
-            both += len(terms) == 2
+                signs += picks is not None
+            both += signs == 2
             cases += 1
     assert found > 2000 and both > 200
+
+
+def test_targeted_walks_to_the_minus_term_only_when_asked(monkeypatch):
+    # the dominated - candidate's first-term walk runs only once the + one
+    # did not separate; a search that separates on the + candidate never
+    # walks to the - term
+    bits = []
+
+    def spy(rows, idx, memo, bit):
+        bits.append(bit)
+        return first_term(rows, idx, memo, bit)
+
+    first_term = realize._first_term
+    monkeypatch.setattr(realize, "_first_term", spy)
+    P = parse_pattern("++\n++")
+    candidates = realize._targeted(P, (0, 1), {})
+    assert next(candidates)[0] is Sign.PLUS and bits == [1]
+    assert next(candidates)[0] is Sign.MINUS and bits == [1, 2]
+    assert next(candidates)[0] is Sign.ZERO and bits == [1, 2]
+    bits.clear()
+    found = distinct_sepr_search(P)
+    assert found is not None and found[0].to_text() == "1 1\n1 1" and bits == [1]
+    assert found[2].to_text() == "4 1\n1 4"
 
 
 def test_realize_has_no_assert_control_flow():
