@@ -20,7 +20,6 @@ from .signs import (
     symbol_mul,
 )
 from .pattern import (
-    Bigraph,
     DetSummary,
     SignPattern,
     bigraph,

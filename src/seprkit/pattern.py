@@ -3,14 +3,16 @@
 A sign pattern is a square grid over {+, -, 0}.  Its determinant is the
 standard permutation expansion evaluated in sign arithmetic: the result
 is +, -, 0, or ambiguous (both a positive and a negative term occur).
-One memoized Laplace recursion, _term_signs, gives the term signs of any
-minor (each search keeps its own memo) and guides the walk to the first
-term of a given sign.  The table of all principal subpatterns comes, to
-order _LAPLACE_PLAN_ORDER, from one flat pass over a static per-order
-Laplace plan, and above it from the recursion; _order_signs splits one
-order of it.  The plan's level walk is the one the batched sweep's int64
-tables are built from.  Index sets are bitmasks; the bigraph view ties
-nonzero determinant terms to perfect matchings.
+One Laplace rule, the flip tables _EVEN_FLIP and _ODD_FLIP, gives a
+term's signs from its entry, its column's parity and its sub-minor's
+signs.  The memoized recursion _term_signs applies it to any minor (each
+search keeps its own memo) and guides the walk to the first term of a
+given sign.  The table of all principal subpatterns comes, to order
+_LAPLACE_PLAN_ORDER, from one flat pass over a static per-order Laplace
+plan, and above it from the recursion; _order_signs splits one order of
+it.  The plan's level walk is the one the batched sweep's int64 tables
+are built from.  Index sets are bitmasks; a pattern's bigraph, its rows'
+nonzero columns, ties nonzero determinant terms to perfect matchings.
 """
 from __future__ import annotations
 
@@ -23,14 +25,15 @@ from .signs import AmbSign, Sign
 
 DET_ORDER_GUARD = 16
 _DET_VALUE = (AmbSign.ZERO, AmbSign.PLUS, AmbSign.MINUS, AmbSign.AMBIGUOUS)  # by term signs
-_TERM_BITS = (0, 1, 2)  # term signs of a 1 x 1 minor, by entry: 0, + or - (index -1)
-# Highest order whose principal table comes from the Laplace plan.  Above it
-# the recursion's early stop wins on dense patterns, and the plan grows about
-# 2.6x per order.
+# Highest order whose principal table comes from the Laplace plan, which
+# grows about 2.6x per order.  The plan pass also leads at orders 7 and 8;
+# the recursion leads only on dense order-9 patterns (tools/plan_cutover.py).
 _LAPLACE_PLAN_ORDER = 6
-# a Laplace term's signs, indexed by its sub-minor's term signs, by its entry
-# (index 0, + or - as -1): at an even column position (none, kept, swapped),
-# then at an odd one, where the column's sign flips them once more
+# The one term-sign rule: a Laplace term's signs, indexed by its entry (0, +,
+# or - as index -1) and then by its sub-minor's term signs.  At an even column
+# position a term has none, the same or the swapped signs; at an odd one the
+# column's sign swaps them once more.  A 1 x 1 minor's signs are
+# _EVEN_FLIP[e][1], and each table is its own inverse on the signs.
 _EVEN_FLIP = ((0, 0, 0, 0), (0, 1, 2, 3), (0, 2, 1, 3))
 _ODD_FLIP = ((0, 0, 0, 0), (0, 2, 1, 3), (0, 1, 2, 3))
 
@@ -113,29 +116,32 @@ class SignPattern:
 
     @classmethod
     def parse(cls, text: str) -> "SignPattern":
-        """Parse n lines of characters from {+, -, 0}; spaces are ignored."""
-        lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
-        if not lines:
-            raise PatternParseError("empty pattern", 1, 1)
+        """Parse n lines of characters from {+, -, 0}; spaces and blank lines
+        are ignored, and an error gives its line and column in `text`."""
         rows = []
         width = None
-        for li, ln in enumerate(lines, start=1):
-            row = []
-            col = 0
-            for ch in ln:
-                col += 1
+        for li, ln in enumerate(text.splitlines(), start=1):
+            row, cols = [], []
+            for col, ch in enumerate(ln, start=1):
                 if ch.isspace():
                     continue
                 if ch not in "+-0":
                     raise PatternParseError(f"invalid character {ch!r}", li, col)
                 row.append(Sign.from_char(ch))
+                cols.append(col)
+            if not row:
+                continue
             if width is None:
                 width = len(row)
-            elif len(row) != width:
-                raise PatternParseError("ragged row", li, len(row) + 1)
+            elif len(row) != width:  # at the first extra sign, or just past the last one
+                col = cols[width] if len(row) > width else cols[-1] + 1
+                raise PatternParseError("ragged row", li, col)
             rows.append(tuple(row))
+            last = li
+        if not rows:
+            raise PatternParseError("empty pattern", 1, 1)
         if len(rows) != width:
-            raise PatternParseError(f"{len(rows)} rows but {width} columns", len(rows), 1)
+            raise PatternParseError(f"{len(rows)} rows but {width} columns", last, 1)
         return cls(tuple(rows))
 
     @classmethod
@@ -251,16 +257,15 @@ def _term_signs(rows: Sequence[Sequence[Sign]], memo: dict, R: int, C: int) -> i
     """Term signs of det P[R, C], for row and column masks of equal size:
     bit 1 a positive term, bit 2 a negative one.
 
-    Laplace expansion along row r = min R: the term through column c is the
-    entry times det P[R - r, C - c], negated when the entry is negative or c
-    sits at an odd position in C, and negating swaps the two bits.  Each
-    (R, C) is expanded once through `memo`; an expansion stops once both
-    signs have occurred.
+    Laplace expansion along row r = min R: the term through column c has
+    the signs that the flip table of c's position in C gives for the entry
+    and det P[R - r, C - c].  Each (R, C) is expanded once through `memo`;
+    an expansion stops once both signs have occurred.
     """
     if not R & (R - 1):
         if not R:
             return 1  # the empty determinant is +1
-        return _TERM_BITS[rows[R.bit_length() - 1][C.bit_length() - 1]]
+        return _EVEN_FLIP[rows[R.bit_length() - 1][C.bit_length() - 1]][1]
     key = C << len(rows) | R  # (R, C) as one int, half the memory of a tuple
     out = memo.get(key)
     if out is not None:
@@ -269,17 +274,17 @@ def _term_signs(rows: Sequence[Sequence[Sign]], memo: dict, R: int, C: int) -> i
     row = rows[low.bit_length() - 1]
     R ^= low
     out = 0
-    odd = False
+    flip, other = _EVEN_FLIP, _ODD_FLIP
     c = C
     while c:
         b = c & -c
         c ^= b
         e = row[b.bit_length() - 1]
-        if e is not Sign.ZERO and (s := _term_signs(rows, memo, R, C ^ b)):
-            out |= (s & 1) << 1 | s >> 1 if (e is Sign.MINUS) ^ odd else s
+        if e and (s := _term_signs(rows, memo, R, C ^ b)):
+            out |= flip[e][s]
             if out == 3:
                 break
-        odd = not odd
+        flip, other = other, flip
     memo[key] = out
     return out
 
@@ -292,7 +297,7 @@ def _first_term(rows: Sequence[Sequence[Sign]], idx: Sequence[int],
     (ascending) picked in each row; None when there is none.  A greedy walk
     over the rows: each takes the first free column whose remaining minor,
     read from the `_term_signs` memo `memo`, still has a term of the sign
-    the running product needs.
+    that the column's flip table maps to the sign the running product needs.
     """
     R = C = mask_from(idx)
     if not _term_signs(rows, memo, R, C) & bit:
@@ -300,17 +305,15 @@ def _first_term(rows: Sequence[Sequence[Sign]], idx: Sequence[int],
     picks, r, c, need = [], R, C, bit
     for i in idx:
         r ^= 1 << i
-        odd = False
+        flip, other = _EVEN_FLIP, _ODD_FLIP
         rest = c
         while rest:  # a term of sign `need` exists, so some column takes it
             b = rest & -rest
             rest ^= b
             e = rows[i][b.bit_length() - 1]
-            if e is not Sign.ZERO:
-                sub = 3 ^ need if (e is Sign.MINUS) ^ odd else need
-                if _term_signs(rows, memo, r, c ^ b) & sub:
-                    break
-            odd = not odd
+            if e and _term_signs(rows, memo, r, c ^ b) & (sub := flip[e][need]):
+                break
+            flip, other = other, flip
         else:
             raise RuntimeError("no column continues a term the memo says exists")
         picks.append((C & (b - 1)).bit_count())
@@ -347,7 +350,8 @@ def signed_det(P: SignPattern) -> DetSummary:
     return signed_det_masked(P, full_mask(P.n))
 
 
-def _laplace_levels(n: int) -> Iterator[tuple[dict[int, int], list[list[int]], list[list[int]]]]:
+def _laplace_levels(n: int) -> Iterator[tuple[list[list[int]], list[list[int]],
+                                              list[tuple[int, int]]]]:
     """Laplace expansions that yield every principal minor of order n, level
     by level, j = 1..n; one level is held at a time.
 
@@ -356,22 +360,25 @@ def _laplace_levels(n: int) -> Iterator[tuple[dict[int, int], list[list[int]], l
     order.  Expanding along row r,
     E[R, C] = sum over t of (-1)^t E[r, C[t]] E[R - r, C - C[t]], and each
     sub-minor lies on level j - 1 (level 0 is the empty minor, 1).  A level
-    is (keys, entry, sub): keys maps C << n | R to the minor's row m, in row
-    order; entry[m][t] = r*n + C[t], plus n*n for an odd t; sub[m][t], the
-    sub-minor's row on level j - 1.
+    is (entry, sub, principal), by the minor's row m: entry[m][t] =
+    r*n + C[t], plus n*n for an odd t; sub[m][t], the sub-minor's row on
+    level j - 1; principal, (m, mask of R) for each minor with C == R, in
+    row order.
     """
-    prev = {0: 0}
+    prev = {0: 0}  # the previous level's rows, by C << n | R
     for j in range(1, n + 1):
         index: dict[int, int] = {}
-        entry, sub = [], []
+        entry, sub, principal = [], [], []
         for R in combinations(range(n), j):
             r, rmask = R[0], mask_from(R)
             for C in combinations(sorted(set(R) | set(range(r))), j):
                 cmask = mask_from(C)
+                if cmask == rmask:
+                    principal.append((len(index), rmask))
                 index[cmask << n | rmask] = len(index)
                 entry.append([r * n + c + n * n * (t & 1) for t, c in enumerate(C)])
                 sub.append([prev[(cmask ^ 1 << c) << n | rmask ^ 1 << r] for c in C])
-        yield index, entry, sub
+        yield entry, sub, principal
         prev = index
 
 
@@ -381,14 +388,12 @@ def _laplace_plan(n: int) -> tuple[tuple[tuple, tuple[tuple[int, int], ...]], ..
     _LAPLACE_PLAN_ORDER (kept for the life of the process).
 
     Per level, (terms, principal): terms[m], the (entry, sub) pairs of minor
-    m; principal, the (row, mask) of each minor with C == R.
+    m; principal, the level's (row, mask) of each principal minor.
     """
     if not 1 <= n <= _LAPLACE_PLAN_ORDER:
         raise ValueError(f"the Laplace plan covers orders 1..{_LAPLACE_PLAN_ORDER}")
-    full = full_mask(n)
-    return tuple((tuple(map(tuple, map(zip, entry, sub))),
-                  tuple((m, k & full) for m, k in enumerate(keys) if k >> n == k & full))
-                 for keys, entry, sub in _laplace_levels(n))
+    return tuple((tuple(map(tuple, map(zip, entry, sub))), tuple(principal))
+                 for entry, sub, principal in _laplace_levels(n))
 
 
 def principal_term_signs(P: SignPattern) -> list[int]:
@@ -396,9 +401,9 @@ def principal_term_signs(P: SignPattern) -> list[int]:
     positive term, bit 2 a negative one (0: no term, 3: ambiguous).
 
     To order _LAPLACE_PLAN_ORDER (6), one pass over `_laplace_plan(n)`: a
-    minor's term through entry e and sub-minor s has s's term signs, swapped
-    when e is negative xor its column is odd, none when e is 0, and a minor
-    stops at both signs.  Above it, `_term_signs` on one memo.
+    minor's term through entry e and sub-minor s has the signs that e's
+    flip table gives for s's, and a minor stops at both signs.  Above it,
+    `_term_signs` on one memo.
     """
     n = P.n
     if n > DET_ORDER_GUARD:
@@ -448,32 +453,18 @@ def is_ambiguous(P: SignPattern) -> bool:
 # ---------------------------------------------------------------------------
 # bigraph and matchings
 
-@dataclass(frozen=True)
-class Bigraph:
-    """Bipartite row/column graph of a pattern: edge x_i ~ y_j iff p_ij != 0."""
-
-    n_left: int
-    n_right: int
-    adj: tuple[tuple[int, ...], ...]
-
-    @classmethod
-    def of_pattern(cls, P: SignPattern) -> "Bigraph":
-        adj = tuple(
-            tuple(j for j, s in enumerate(row) if s is not Sign.ZERO) for row in P.rows
-        )
-        return cls(P.n, P.n, adj)
+def bigraph(P: SignPattern) -> tuple[tuple[int, ...], ...]:
+    """Bipartite row/column graph of a pattern, as each row's nonzero
+    columns: edge x_i ~ y_j iff p_ij != 0."""
+    return tuple(tuple(j for j, s in enumerate(row) if s is not Sign.ZERO) for row in P.rows)
 
 
-def bigraph(P: SignPattern) -> Bigraph:
-    return Bigraph.of_pattern(P)
-
-
-def max_bipartite_matching(bg: Bigraph) -> int:
-    """Maximum matching size by augmenting paths."""
+def max_bipartite_matching(adj: Sequence[Sequence[int]]) -> int:
+    """Maximum matching size of a bigraph `adj` by augmenting paths."""
     match_right: dict[int, int] = {}
 
     def try_augment(u: int, seen: set[int]) -> bool:
-        for v in bg.adj[u]:
+        for v in adj[u]:
             if v in seen:
                 continue
             seen.add(v)
@@ -482,13 +473,9 @@ def max_bipartite_matching(bg: Bigraph) -> int:
                 return True
         return False
 
-    size = 0
-    for u in range(bg.n_left):
-        if try_augment(u, set()):
-            size += 1
-    return size
+    return sum(try_augment(u, set()) for u in range(len(adj)))
 
 
-def has_perfect_matching(bg: Bigraph) -> bool:
-    """True iff a matching saturates every left vertex (and the sides balance)."""
-    return bg.n_left == bg.n_right and max_bipartite_matching(bg) == bg.n_left
+def has_perfect_matching(adj: Sequence[Sequence[int]]) -> bool:
+    """True iff a matching of the square pattern's bigraph `adj` saturates every row."""
+    return max_bipartite_matching(adj) == len(adj)

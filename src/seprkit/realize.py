@@ -571,15 +571,15 @@ def _minor_levels(n: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ..
 
     Per level: entry[t, m] = r*n + C[t], plus n*n for a negated (odd t) term,
     for the t-th term of minor E[R, C] expanded along row r = min R;
-    sub[t, m], the sub-minor's row one level down; and the principal rows,
-    those with R == C.
+    sub[t, m], the sub-minor's row one level down; and the rows of the
+    level's principal minors (intp).
     """
     import numpy as np
-    full, levels = (1 << n) - 1, []
-    for keys, entry, sub in _laplace_levels(n):
+    levels = []
+    for entry, sub, principal in _laplace_levels(n):
         levels.append((np.array(entry, dtype=np.int32).T, np.array(sub, dtype=np.int32).T,
-                       np.flatnonzero([k >> n == k & full for k in keys])))
-        del keys, entry, sub  # so the walk frees this level's lists before it builds the next
+                       np.array([m for m, _ in principal], dtype=np.intp)))
+        del entry, sub, principal  # so the walk frees this level's lists before it builds the next
     return tuple(levels)
 
 

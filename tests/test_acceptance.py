@@ -2,8 +2,12 @@
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 timings.  Every tolerance is exact (integer/rational arithmetic); the
-runtime ceilings are part of the criteria.
+runtime ceilings are part of the criteria.  Each report that
+`seprkit verify-paper --json` prints (`run_all_verifications(seed=0,
+budget=10**6)`) is built here by one criterion and pinned by its digest.
 """
+import hashlib
+import json
 import random
 import time
 
@@ -40,9 +44,29 @@ from seprkit.signs import AmbSign, Sign, combine
 
 _CHECKMARK = "ACCEPTANCE criterion {}: PASS ({:.2f}s{})"
 
+# sha256 of each report's `to_json()` without `runtime_s`, as JSON with sorted keys
+REPORT_DIGESTS = {
+    "symbol-algebra": "10e390b44e301effa8303410ce568b5dff137cc1917ce69b923ac03b7dd2e19b",
+    "matrix-anchors": "a2816459b9008f89cad9830146a9e8ccd0fb5bef9b75f52b24db690547e69463",
+    "seprset-anchors": "962d7e778c437909e46ca0a7cad2467e608bd61d294b51412f6e3e232d2a1dc9",
+    "order3-nonneg-catalog": "965d07346adc53414d1ce0fb9db94049e5a39fcbc9df13fe28c7ea37837a7d27",
+    "unique-iff-determined-n2": "b2745115146d8d0da72ed4468f643832201329e5b686b04002535cbe488c92b1",
+    "unique-iff-determined-n3": "e1c651d1e91ff4c7eac0e346b7a2e9953a09cc92ac73d447d820b36f1ca059ac",
+    "unique-iff-determined-n4": "e30f1b69cdb6e59ab2e0b7bf8135d69a731b5c2fa06a9226d124a0d263a660ff",
+    "symmetric-nonneg-unique": "382b7b07e2180f8f5e8d345c86550aeba79c0407a80aa6755c388a00d0e6f556",
+    "semistable-suite": "a803ecb4c81467b62951ff7094df0e95e748399787e0cb7eb59aa3168c9f2f8e",
+}
+
 
 def _done(num, t0, extra=""):
     print(_CHECKMARK.format(num, time.time() - t0, extra))
+
+
+def _assert_digest(rep):
+    report = rep.to_json()
+    del report["runtime_s"]
+    digest = hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
+    assert digest == REPORT_DIGESTS[rep.check_id], report
 
 
 def rand_pattern(rng, n, zero_weight=1):
@@ -55,6 +79,7 @@ def test_criterion_1_symbol_tables():
     t0 = time.time()
     rep = verify_symbol_algebra()
     assert rep.passed, rep.to_json()
+    _assert_digest(rep)
     assert rep.counts["table-entries"] == 98
     elapsed = time.time() - t0
     assert elapsed < 1.0
@@ -65,6 +90,7 @@ def test_criterion_2_matrix_anchors():
     t0 = time.time()
     rep = verify_matrix_anchors()
     assert rep.passed, rep.to_json()
+    _assert_digest(rep)
     # six constructed order-3 witnesses are among the embedded set
     for seq in ("A+A*A-", "A+A+A-", "A+A+N", "A+A-A-", "A+S*A-", "S+S*A-"):
         rows = EMBEDDED_ORDER3_WITNESSES[seq]
@@ -78,6 +104,7 @@ def test_criterion_3_seprset_anchors():
     t0 = time.time()
     rep = verify_seprset_anchors(budget=10**6)
     assert rep.passed, rep.to_json()
+    _assert_digest(rep)
     elapsed = time.time() - t0
     assert elapsed < 30.0
     _done(3, t0)
@@ -88,6 +115,8 @@ def test_criterion_4_uniqueness_condition():
     rep2 = verify_unique_iff_determined(2)
     rep3 = verify_unique_iff_determined(3)
     assert rep2.passed and rep3.passed, (rep2.to_json(), rep3.to_json())
+    _assert_digest(rep2)
+    _assert_digest(rep3)
     assert rep2.counts["patterns"] + rep3.counts["patterns"] == 19764
     assert rep2.counts["fixed"] + rep2.counts["witnessed"] == 81
     assert rep3.counts["fixed"] + rep3.counts["witnessed"] == 19683
@@ -97,6 +126,7 @@ def test_criterion_4_uniqueness_condition():
     t1 = time.time()
     rep4 = verify_unique_iff_determined(4)
     assert rep4.passed, rep4.to_json()
+    _assert_digest(rep4)
     assert rep4.counts["zero-diag-full-off-patterns"] == 4096
     assert rep4.counts["zero-diag-full-off-fixed"] == 0
     assert rep4.counts["zero-diag-full-off-witnessed"] == 4096
@@ -112,6 +142,7 @@ def test_criterion_5_order3_catalog():
     t0 = time.time()
     rep = verify_order3_nonneg_catalog()
     assert rep.passed, rep.to_json()
+    _assert_digest(rep)
     assert rep.counts["embedded"] + rep.counts["freshly-searched"] == 25
     assert len(ORDER3_NONNEG_SEQUENCES) == 25
     elapsed = time.time() - t0
@@ -123,6 +154,7 @@ def test_criterion_6_semistable_suite():
     t0 = time.time()
     rep = verify_semistable_suite()
     assert rep.passed, rep.to_json()
+    _assert_digest(rep)
     assert rep.counts["semistable-patterns"] == 101974
     elapsed = time.time() - t0
     assert elapsed < 300.0
@@ -207,6 +239,7 @@ def test_criterion_8_symmetric_nonneg_classification():
     t0 = time.time()
     rep = verify_symmetric_nonneg_unique(4)
     assert rep.passed, rep.to_json()
+    _assert_digest(rep)
     assert rep.counts["n4-patterns"] == 1024
     elapsed = time.time() - t0
     assert elapsed < 120.0

@@ -12,7 +12,6 @@ from seprkit import digraph, enumeration, pattern, realize, signs
 
 PUBLIC_NAMES = [
     "AmbSign",
-    "Bigraph",
     "CycleReport",
     "DetSummary",
     "DigraphFamily",
@@ -82,6 +81,7 @@ RETIRED = [
     (digraph, "complete_pattern"),
     (digraph, "leaf_loop_star_pattern"),
     (enumeration, "family_size"),
+    (pattern, "Bigraph"),  # bigraph(P) returns its rows' nonzero columns
 ]
 
 

@@ -65,6 +65,15 @@ def test_parse_errors():
     assert e.value.line == 2 and e.value.col == 2
     with pytest.raises(PatternParseError):
         parse_pattern("0+\n-0\n+-")  # not square
+    # positions count the input's own lines and columns, blank and indented ones too
+    for text, line, col in (("0+\n\n-x", 3, 2),
+                            ("  0+\n  -x", 2, 4),
+                            ("++\n+++", 2, 3),  # a long row: its first extra sign
+                            ("+ +\n+ + +", 2, 5),
+                            ("+++\n + +\n+++", 2, 5)):  # a short row: just past its last sign
+        with pytest.raises(PatternParseError) as e:
+            parse_pattern(text)
+        assert (e.value.line, e.value.col) == (line, col), text
 
 
 def test_json_roundtrip():
@@ -397,12 +406,12 @@ def test_matching_iff_nonzero_term():
         assert has_perfect_matching(bigraph(P)) == signed_det(P).has_term
 
 
-def hall_condition_holds(bg):
-    """Brute-force |S| <= |N(S)| over all left-vertex sets S."""
-    for smask in range(1 << bg.n_left):
+def hall_condition_holds(adj):
+    """Brute-force |S| <= |N(S)| over all row sets S of the bigraph `adj`."""
+    for smask in range(1 << len(adj)):
         nb = 0
         for u in mask_indices(smask):
-            for v in bg.adj[u]:
+            for v in adj[u]:
                 nb |= 1 << v
         if smask.bit_count() > nb.bit_count():
             return False
@@ -413,8 +422,8 @@ def test_matching_iff_hall():
     rng = random.Random(14)
     for _ in range(120):
         P = rand_pattern(rng, rng.randint(1, 6), zero_weight=2)
-        bg = bigraph(P)
-        assert has_perfect_matching(bg) == hall_condition_holds(bg)
+        adj = bigraph(P)
+        assert has_perfect_matching(adj) == hall_condition_holds(adj)
 
 
 def test_sign_nonsingular_entry_bound():
